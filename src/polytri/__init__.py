@@ -32,6 +32,7 @@ from .core import (
     InvalidTriangulationError,
     MonotonicityError,
     Polygon,
+    SolverInvariantError,
     TriangleWeightFn,
     Triangulation,
     ValidationResult,
@@ -84,6 +85,7 @@ __all__ = [
     "MonotonicityError",
     "Polygon",
     "SolveStats",
+    "SolverInvariantError",
     "TriangleWeightFn",
     "Triangulation",
     "ValidationResult",

@@ -12,9 +12,12 @@ of distinct cones. Branches follow two shapes:
 
 ``expand_cone`` and ``expand_root`` are the public, self-describing form of
 the rules; ``solve_bst`` runs the same rules through a flattened work stack
-with packed integer keys. ``reconstruct_triangulation`` re-derives a winning
-edge set from the memo using only the public expansion, which doubles as a
-consistency check between the two forms.
+with packed integer keys. ``reconstruct_triangulation`` evaluates the root
+and walks one winning edge set over the solved values by packed key, for
+this solver and for yao_solver's sweep; a stored value that no branch
+reproduces raises SolverInvariantError. The tests cross-check the packed
+forms against the public rules: cone values against a recursion over
+``expand_cone``, and witnesses against a re-expansion of winning cones.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .bridges import BridgeTable, Cone, find_bridges_linear
 from .core import (
     Edge,
     Polygon,
+    SolverInvariantError,
     TriangleWeightFn,
     Triangulation,
     check_accumulator_bound,
@@ -204,9 +208,10 @@ class MemoStore:
     The hash backend is a plain dict. The dense backend allocates one
     (n + 1)-slot row per bridge, lazily, with -1 as the empty sentinel;
     requesting a row for a non-bridge pair raises KeyError, which keeps the
-    solver honest about only ever memoizing cones of real bridges. Cells are
-    write-once. Dense rows cost O(n) each and O(n^2) overall, so the backend
-    refuses polygons larger than dense_cap.
+    solver honest about only ever memoizing cones of real bridges (only the
+    dense backend reads bridge_keys). Cells are write-once. Dense rows cost
+    O(n) each and O(n^2) overall, so the backend refuses polygons larger
+    than dense_cap.
     """
 
     __slots__ = ("n", "n1", "backend", "data", "rows", "bridge_keys")
@@ -229,7 +234,7 @@ class MemoStore:
         self.backend = backend
         self.data: dict[int, int] = {}
         self.rows: dict[int, list[int]] = {}
-        self.bridge_keys = frozenset(bridge_keys)
+        self.bridge_keys = frozenset(bridge_keys) if backend == "dense" else frozenset()
 
     def _row(self, bk: int) -> list[int]:
         row = self.rows.get(bk)
@@ -246,16 +251,23 @@ class MemoStore:
         val = self._row(bk)[k]
         return None if val < 0 else val
 
+    def __getitem__(self, key: int) -> int:
+        """The stored value; KeyError on an empty cell."""
+        val = self.get(key)
+        if val is None:
+            raise KeyError(f"memo cell {key} is empty")
+        return val
+
     def put(self, key: int, value: int) -> None:
         if self.backend == "hash":
             if key in self.data:
-                raise AssertionError(f"memo cell {key} written twice")
+                raise SolverInvariantError(f"memo cell {key} written twice")
             self.data[key] = value
             return
         bk, k = divmod(key, self.n1)
         row = self._row(bk)
         if row[k] != -1:
-            raise AssertionError(f"memo cell {key} written twice")
+            raise SolverInvariantError(f"memo cell {key} written twice")
         row[k] = value
 
     def __len__(self) -> int:
@@ -264,60 +276,107 @@ class MemoStore:
         return sum(1 for row in self.rows.values() for v in row if v >= 0)
 
 
+def _root_cones(poly: Polygon) -> tuple[tuple[Edge, ...], list[tuple[int, int, int]]]:
+    """The root's forced edges and its cones as (u, v, k), k = apex + 1 or 0.
+
+    With the two lightest nodes adjacent, the whole polygon is the apexless
+    cone of the bridge between them, so the root takes part in the memo;
+    otherwise the root is expand_root's single, forced, branch.
+    """
+    n = poly.n
+    v1, v2 = poly.rank[0], poly.rank[1]
+    if (v2 - v1) % n == 1:
+        return (), [(v2, v1, 0)]
+    if (v1 - v2) % n == 1:
+        return (), [(v1, v2, 0)]
+    (br,) = expand_root(poly)
+    return br.edges, [(c.u, c.v, 0 if c.apex is None else c.apex + 1) for c in br.children]
+
+
 def reconstruct_triangulation(
     poly: Polygon,
     table: BridgeTable,
     f: TriangleWeightFn,
-    value_of: Callable[[Cone], int],
-    root: Cone | list[Branch],
-    opt: int,
-) -> frozenset[Edge]:
-    """Rebuild one optimal edge set by re-expanding winning cones.
+    get: Callable[[int], int],
+) -> tuple[int, frozenset[Edge]]:
+    """Evaluate the root and walk one optimal edge set over solved cone values.
 
-    value_of must return the solved value of any non-base cone reachable
-    from the root; base cones are valued directly. At each cone the first
-    branch whose value matches is taken (so results are deterministic), and
-    a branch must always match, otherwise the memo is internally
-    inconsistent and an AssertionError surfaces it.
+    get(key) returns the solved value of the non-base cone with packed key
+    (u*n + v)*(n + 1) + k, k = apex + 1 or 0; base cones are valued
+    directly and never looked up. The root is evaluated first, as the sum
+    of its cones (_root_cones). Returns (optimal weight, edges).
+
+    Every expand_cone expansion has one shape: with p the apex (or the
+    lighter endpoint of an apexless cone) and (a, b) the bridge left after
+    p's forced side, branch 1 is the triangle (a, b, p) plus the apexless
+    cone (a, b), and branch 2 (or the only, forced, branch) is the edge
+    (p, m), m = S(a, b), splitting into cones (a, m) and (m, b) with apex p
+    unless p is their endpoint. Branch 1 is taken when it reproduces the
+    solved value, so it wins ties as in the search; otherwise branch 2 must,
+    or SolverInvariantError is raised, as it is when the walk does not yield
+    n - 3 edges.
     """
-    w = poly.weights
-    fw = f.fn
+    n, w, fw, s = poly.n, poly.weights, f.fn, table.s
+    n1 = n + 1
 
-    def branch_value(br: Branch) -> int:
-        val = 0
-        for a, b, c in br.triangles:
-            val += fw(w[a], w[b], w[c])
-        for ch in br.children:
-            val += cone_value_base(poly, ch, f) if is_base_cone(poly, ch) else value_of(ch)
-        return val
+    def cone(u: int, v: int, k: int) -> tuple[int, int]:
+        """(key, value) of cone (u, v) with apex k - 1 (k = 0: none); key -1 for a base cone."""
+        d = (v - u) % n
+        if k:
+            if d == 1:
+                return -1, fw(w[u], w[v], w[k - 1])
+        elif d <= 2:
+            return -1, fw(w[u], w[(u + 1) % n], w[v]) if d == 2 else 0
+        key = (u * n + v) * n1 + k
+        return key, get(key)
 
-    edges: set[Edge] = set()
-    stack: list[Cone] = []
-    if isinstance(root, Cone):
-        stack.append(root)
-    else:
-        for br in root:
-            if branch_value(br) == opt:
-                edges.update(br.edges)
-                stack.extend(ch for ch in br.children if not is_base_cone(poly, ch))
-                break
-        else:
-            raise AssertionError("no root branch reproduces the optimal value")
+    root_edges, roots = _root_cones(poly)
+    edges: list[Edge] = list(root_edges)
+    stack: list[int] = []  # non-base cones to walk, as key, value pairs
+    opt = 0
+    for u, v, k in roots:
+        key, val = cone(u, v, k)
+        opt += val
+        if key >= 0:
+            stack += key, val
     while stack:
-        cone = stack.pop()
-        if is_base_cone(poly, cone):
-            continue
-        val = value_of(cone)
-        for br in expand_cone(cone, table):
-            if branch_value(br) == val:
-                edges.update(br.edges)
-                stack.extend(ch for ch in br.children if not is_base_cone(poly, ch))
-                break
+        val = stack.pop()
+        bk, k = divmod(stack.pop(), n1)
+        u, v = divmod(bk, n)
+        if k:
+            p, a, b, one = k - 1, u, v, True
+        elif (w[u], u) < (w[v], v):
+            p, x = u, (u + 1) % n
+            one = x == s[(u, v)][0]  # else the edge (u, S(u, v)) is forced
+            a, b = (x, v) if one else (u, v)
         else:
-            raise AssertionError(f"no branch of {cone} reproduces its memoized value")
-    if len(edges) != poly.n - 3:
-        raise AssertionError(f"reconstruction produced {len(edges)} edges, wanted {poly.n - 3}")
-    return frozenset(edges)
+            p, x = v, (v - 1) % n
+            one = x == s[(u, v)][0]
+            a, b = (u, x) if one else (u, v)
+        if one:
+            c, vc = cone(a, b, 0)
+            if fw(w[a], w[b], w[p]) + vc == val:
+                edges.append((a, b) if a < b else (b, a))
+                if c >= 0:
+                    stack += c, vc
+                continue
+        m = s[(a, b)][0]
+        ca, va = cone(a, m, 0 if p == a else p + 1)
+        cb, vb = cone(m, b, 0 if p == b else p + 1)
+        if va + vb != val:
+            raise SolverInvariantError(
+                f"no branch of cone ({u}, {v}, apex {k - 1 if k else None}) "
+                f"reproduces its solved value {val}"
+            )
+        edges.append((p, m) if p < m else (m, p))
+        if ca >= 0:
+            stack += ca, va
+        if cb >= 0:
+            stack += cb, vb
+    out = frozenset(edges)
+    if len(out) != n - 3:
+        raise SolverInvariantError(f"reconstruction produced {len(out)} edges, wanted {n - 3}")
+    return opt, out
 
 
 def solve_bst(
@@ -342,43 +401,20 @@ def solve_bst(
     n, w = poly.n, poly.weights
     table = find_bridges_linear(poly)
     total = table.total_cones()
-    if n == 3:
-        val = f.fn(w[0], w[1], w[2])
-        stats = SolveStats(0, 0, total, time.perf_counter_ns() - t0, backend)
-        return val, Triangulation(frozenset(), val), stats
-
     n1 = n + 1
-    bridge_keys = frozenset(u * n + v for u, v in table.bridges)
-    store = MemoStore(n, backend, bridge_keys, dense_cap)
+    store = MemoStore(n, backend, (u * n + v for u, v in table.bridges), dense_cap)
     dense = store.backend == "dense"
     memo = store.data
     s_of = {u * n + v: node for (u, v), (node, _) in table.s.items()}
     fw = f.fn
-    rank = poly.rank
     lighter = poly.lighter
     visited = 0
     hits = 0
 
-    # Root: with the two lightest nodes adjacent, the whole polygon is the
-    # apexless cone of the bridge between them; otherwise take the explicit
-    # root branches.
-    v1, v2 = rank[0], rank[1]
-    root_key = -1
-    root_branches: list[Branch] | None = None
-    work: list = []
-    if (v2 - v1) % n == 1:
-        root_key = (v2 * n + v1) * n1
-    elif (v1 - v2) % n == 1:
-        root_key = (v1 * n + v2) * n1
-    if root_key >= 0:
-        work.append(root_key)
-    else:
-        root_branches = expand_root(poly)
-        for br in root_branches:
-            for ch in br.children:
-                if not is_base_cone(poly, ch):
-                    k = 0 if ch.apex is None else ch.apex + 1
-                    work.append((ch.u * n + ch.v) * n1 + k)
+    # the root's non-base cones; base ones are valued by the walk
+    work: list = [
+        (u * n + v) * n1 + k for u, v, k in _root_cones(poly)[1] if (v - u) % n > (1 if k else 2)
+    ]
 
     # Work stack: an int is a cone key to expand; a tuple is a combine
     # record (key, const1, childA, childB[, const2, child2A, child2B]) with
@@ -531,34 +567,11 @@ def solve_bst(
                     val = alt
             key = item[0]
             if key in memo:
-                raise AssertionError(f"memo cell {key} written twice")
+                raise SolverInvariantError(f"memo cell {key} written twice")
             memo[key] = val
 
-    def value_of(cone: Cone) -> int:
-        k = 0 if cone.apex is None else cone.apex + 1
-        val = store.get((cone.u * n + cone.v) * n1 + k)
-        if val is None:
-            raise KeyError(f"{cone} was never solved")
-        return val
-
-    if root_key >= 0:
-        opt = store.get(root_key)
-        assert opt is not None
-        bk = root_key // n1
-        root: Cone | list[Branch] = Cone(bk // n, bk % n)
-    else:
-        assert root_branches is not None
-        opt = None
-        for br in root_branches:
-            val = 0
-            for a, b, c in br.triangles:
-                val += fw(w[a], w[b], w[c])
-            for ch in br.children:
-                val += cone_value_base(poly, ch, f) if is_base_cone(poly, ch) else value_of(ch)
-            if opt is None or val < opt:
-                opt = val
-        assert opt is not None
-        root = root_branches
-    edges = reconstruct_triangulation(poly, table, f, value_of, root, opt)
+    opt, edges = reconstruct_triangulation(
+        poly, table, f, store.__getitem__ if dense else memo.__getitem__
+    )
     stats = SolveStats(visited, hits, total, time.perf_counter_ns() - t0, backend)
     return opt, Triangulation(edges, opt), stats

@@ -13,6 +13,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
+import numpy as np
+
 WEIGHT_MAX = 2**63 - 1  # node weights must fit a signed 64-bit integer
 ACCUMULATOR_MAX = 2**127  # triangulation sums are checked against this bound
 
@@ -25,6 +27,10 @@ class InvalidTriangulationError(ValueError):
 
 class MonotonicityError(ValueError):
     """A custom triangle weight function failed its spot check."""
+
+
+class SolverInvariantError(ValueError):
+    """A solver's own tables contradict each other (a bug, not bad input)."""
 
 
 def norm_edge(a: int, b: int) -> Edge:
@@ -170,12 +176,16 @@ class TriangleWeightFn:
 
         Draws ``rounds`` random triples, bumps one coordinate, and requires a
         strict increase; also requires invariance under argument permutation.
+        When ``vec`` is present it is evaluated on the same triples as int64
+        arrays and must agree with ``fn`` wherever fn's value fits int64.
         Raises MonotonicityError on the first counterexample found.
         """
         if self._checked:
             return
         rng = random.Random(seed)
         f = self.fn
+        triples: list[tuple[int, int, int]] = []
+        values: list[int] = []
         # f(1,1,1) is the global minimum under monotonicity; solvers rely on
         # non-negative values (dense memo cells use -1 as the empty sentinel)
         if f(1, 1, 1) < 0:
@@ -194,6 +204,16 @@ class TriangleWeightFn:
                     f"{self.kind} weight fn is not strictly monotonic: "
                     f"f{tuple(bumped)} <= f{(x, y, z)}"
                 )
+            if base < 2**63:
+                triples.append((x, y, z))
+                values.append(base)
+        if self.vec is not None and triples:
+            got = self.vec(*np.array(triples, dtype=np.int64).T)
+            for t, g, want in zip(triples, np.broadcast_to(got, len(triples)).tolist(), values):
+                if g != want:
+                    raise MonotonicityError(
+                        f"{self.kind} weight fn's vec disagrees with fn at {t}: {g} != {want}"
+                    )
         self._checked = True
 
 

@@ -25,7 +25,6 @@ from .bst_solver import (
     SolveStats,
     cone_value_base,
     expand_cone,
-    expand_root,
     is_base_cone,
     reconstruct_triangulation,
 )
@@ -157,55 +156,34 @@ def solve_yao(
     t0 = time.perf_counter_ns()
     f.ensure_monotonic()
     check_accumulator_bound(poly, f)
-    n, w = poly.n, poly.weights
+    n = poly.n
     table = find_bridges_linear(poly)
     total = table.total_cones()
     if engine == "auto":
-        engine = "vector" if f.vec is not None and int64_safe(poly, f) and n >= 64 else "scalar"
+        engine = "vector" if f.vec is not None and int64_safe(poly, f) else "scalar"
     if engine not in ("scalar", "vector"):
         raise ValueError(f"unknown engine {engine!r}")
     if engine == "vector" and (f.vec is None or not int64_safe(poly, f)):
         raise OverflowError("vector engine refused: weight function not int64-safe here")
 
     bridges = sorted(table.bridges, key=lambda br: (br[1] - br[0]) % n)
+    n1 = n + 1
     if engine == "scalar":
         value = _sweep_scalar(poly, table, bridges, f)
 
-        def value_of(c: Cone) -> int:
-            return value[(c.u, c.v, c.apex)]
+        def get(key: int) -> int:
+            bk, k = divmod(key, n1)
+            return value[(*divmod(bk, n), k - 1 if k else None)]
 
     else:
         v0, vz = _sweep_vector(poly, table, bridges, f)
         rank_of = poly.rank_of
 
-        def value_of(c: Cone) -> int:
-            if c.apex is None:
-                return v0[(c.u, c.v)]
-            return int(vz[(c.u, c.v)][rank_of[c.apex]])
+        def get(key: int) -> int:
+            bk, k = divmod(key, n1)
+            bridge = divmod(bk, n)
+            return v0[bridge] if k == 0 else int(vz[bridge][rank_of[k - 1]])
 
-    fw = f.fn
-    v1, v2 = poly.rank[0], poly.rank[1]
-    root: Cone | list
-    if (v2 - v1) % n == 1:
-        root = Cone(v2, v1)
-    elif (v1 - v2) % n == 1:
-        root = Cone(v1, v2)
-    else:
-        root = None  # type: ignore[assignment]
-    if root is not None:
-        opt = cone_value_base(poly, root, f) if is_base_cone(poly, root) else value_of(root)
-    else:
-        root = expand_root(poly)
-        opt = None
-        for br in root:
-            val = 0
-            for a, b, c in br.triangles:
-                val += fw(w[a], w[b], w[c])
-            for ch in br.children:
-                val += cone_value_base(poly, ch, f) if is_base_cone(poly, ch) else value_of(ch)
-            if opt is None or val < opt:
-                opt = val
-        assert opt is not None
-    edges = reconstruct_triangulation(poly, table, f, value_of, root, opt)
+    opt, edges = reconstruct_triangulation(poly, table, f, get)
     stats = SolveStats(total, 0, total, time.perf_counter_ns() - t0, engine)
     return opt, Triangulation(edges, opt), stats

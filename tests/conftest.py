@@ -11,7 +11,18 @@ import random
 
 import pytest
 
-from polytri import Polygon, TriangleWeightFn, norm_edge, solve_dp_cubic
+from polytri import (
+    Polygon,
+    TriangleWeightFn,
+    cone_value_base,
+    enumerate_cones,
+    expand_cone,
+    expand_root,
+    find_bridges_linear,
+    is_base_cone,
+    norm_edge,
+    solve_dp_cubic,
+)
 from polytri.bridges import Cone, cone_nodes
 
 
@@ -70,6 +81,59 @@ def cone_value_oracle(poly: Polygon, cone: Cone, f: TriangleWeightFn) -> int:
         return 0
     sub = Polygon(tuple(poly.weights[i] for i in nodes))
     return solve_dp_cubic(sub, f, engine="python")[0]
+
+
+def witness_by_reexpansion(poly: Polygon, f: TriangleWeightFn) -> tuple[int, frozenset]:
+    """(optimum, edges) from the public rules alone, re-expanding winning cones.
+
+    Cone values come bottom-up from expand_cone (shorter arcs first, the
+    apexless cone of a bridge before its apexed ones). The root is the
+    apexless cone of the bridge between the two lightest nodes when they
+    are adjacent, else the best expand_root branch. At each cone the first
+    branch reproducing the value is taken, so branch 1 wins ties; this is
+    the reference for the solvers' packed-key walk.
+    """
+    n, w = poly.n, poly.weights
+    table = find_bridges_linear(poly)
+    values: dict[Cone, int] = {}
+
+    def value_of(c: Cone) -> int:
+        return cone_value_base(poly, c, f) if is_base_cone(poly, c) else values[c]
+
+    def branch_value(br) -> int:
+        return sum(f.fn(w[a], w[b], w[c]) for a, b, c in br.triangles) + sum(
+            value_of(ch) for ch in br.children
+        )
+
+    by_arc = sorted(
+        enumerate_cones(poly, table), key=lambda c: (poly.arc_len(c.u, c.v), c.apex is not None)
+    )
+    for cone in by_arc:
+        if not is_base_cone(poly, cone):
+            values[cone] = min(branch_value(br) for br in expand_cone(cone, table))
+
+    v1, v2 = poly.rank[0], poly.rank[1]
+    edges: set = set()
+    stack: list[Cone] = []
+    if poly.adjacent(v1, v2):
+        root = Cone(v2, v1) if (v2 - v1) % n == 1 else Cone(v1, v2)
+        opt = value_of(root)
+        stack.append(root)
+    else:
+        branches = expand_root(poly)
+        opt = min(branch_value(br) for br in branches)
+        br = next(br for br in branches if branch_value(br) == opt)
+        edges.update(br.edges)
+        stack.extend(br.children)
+    while stack:
+        cone = stack.pop()
+        if is_base_cone(poly, cone):
+            continue
+        br = next(br for br in expand_cone(cone, table) if branch_value(br) == values[cone])
+        edges.update(br.edges)
+        stack.extend(br.children)
+    assert len(edges) == n - 3
+    return opt, frozenset(edges)
 
 
 def chain_cost_bruteforce(dims: tuple[int, ...]) -> int:

@@ -9,12 +9,13 @@ import random
 
 import pytest
 
-from conftest import cone_value_oracle, random_polygon
+from conftest import cone_value_oracle, random_polygon, witness_by_reexpansion
 from polytri import (
     Branch,
     Cone,
     MemoStore,
     Polygon,
+    SolverInvariantError,
     TriangleWeightFn,
     cone_value_base,
     enumerate_cones,
@@ -23,11 +24,20 @@ from polytri import (
     find_bridges_linear,
     gen_staircase,
     is_base_cone,
+    reconstruct_triangulation,
     solve_bst,
     solve_dp_cubic,
+    solve_yao,
     triangulation_weight,
     validate_triangulation,
 )
+
+ENGINES = {
+    "bst-hash": lambda poly, f: solve_bst(poly, f, backend="hash"),
+    "bst-dense": lambda poly, f: solve_bst(poly, f, backend="dense"),
+    "yao-scalar": lambda poly, f: solve_yao(poly, f, engine="scalar"),
+    "yao-vector": lambda poly, f: solve_yao(poly, f, engine="vector"),
+}
 
 
 def eval_cone(poly, table, f, cone):
@@ -227,6 +237,29 @@ class TestSolveBst:
             solve_bst(poly, TriangleWeightFn.multiplicative())
 
 
+class TestReconstruction:
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_walk_matches_reexpansion(self, engine, weight_fns):
+        """Every engine's packed-key walk returns the re-expansion's witness."""
+        rng = random.Random(103)
+        root_adjacent = set()
+        for i in range(20):
+            n = 4 + i if i < 4 else rng.randint(4, 150)
+            hi = 5 if i % 2 else 10**4  # odd rows are tie-heavy
+            poly = Polygon(tuple(rng.randint(1, hi) for _ in range(n)))
+            root_adjacent.add(poly.adjacent(poly.rank[0], poly.rank[1]))
+            for f in weight_fns.values():
+                opt, tri, _ = ENGINES[engine](poly, f)
+                assert (opt, tri.edges) == witness_by_reexpansion(poly, f), poly.weights
+        assert root_adjacent == {True, False}
+
+    def test_inconsistent_values_raise_invariant_error(self, weight_fns):
+        poly = Polygon((1, 2, 9, 7, 8, 6, 5, 4, 3, 10))
+        table = find_bridges_linear(poly)
+        with pytest.raises(SolverInvariantError, match="no branch of cone"):
+            reconstruct_triangulation(poly, table, weight_fns["add"], lambda key: 10**9)
+
+
 class TestMemoStore:
     def test_rejects_unknown_backend(self):
         with pytest.raises(ValueError, match="unknown memo backend"):
@@ -243,7 +276,7 @@ class TestMemoStore:
         store.put(17, 123)
         assert store.get(17) == 123
         assert len(store) == 1
-        with pytest.raises(AssertionError, match="written twice"):
+        with pytest.raises(SolverInvariantError, match="written twice"):
             store.put(17, 999)
 
     def test_dense_round_trip(self):
@@ -256,7 +289,10 @@ class TestMemoStore:
         store.put(key + 3, 9)  # same bridge row, apex 2
         assert (store.get(key), store.get(key + 3)) == (7, 9)
         assert len(store) == 2
-        with pytest.raises(AssertionError, match="written twice"):
+        assert store[key + 3] == 9
+        with pytest.raises(KeyError, match="empty"):
+            store[key + 1]
+        with pytest.raises(SolverInvariantError, match="written twice"):
             store.put(key, 7)
 
     def test_dense_rejects_non_bridge_rows(self):

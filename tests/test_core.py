@@ -17,6 +17,9 @@ from polytri import (
     norm_edge,
     parse_polygon,
     require_valid,
+    solve_bst,
+    solve_dp_cubic,
+    solve_yao,
     triangulation_weight,
     validate_triangulation,
     weight_rank,
@@ -95,6 +98,16 @@ class TestTriangleWeightFn:
         f = TriangleWeightFn.custom(lambda x, y, z: x + 2 * y + 3 * z)
         with pytest.raises(MonotonicityError, match="symmetric"):
             f.ensure_monotonic()
+
+    def test_vec_disagreeing_with_fn_rejected_before_any_solve(self):
+        # unchecked, dp3 returned 175412 here (its edges re-weigh to 7354, the
+        # optimum is 6811) and yao raised a bare AssertionError
+        f = TriangleWeightFn.custom(lambda x, y, z: x + y + z, vec=lambda x, y, z: x * y * z)
+        rng = random.Random(5)
+        poly = Polygon(tuple(rng.randint(1, 100) for _ in range(80)))
+        for solve in (solve_dp_cubic, solve_yao, solve_bst):
+            with pytest.raises(MonotonicityError, match="vec disagrees with fn"):
+                solve(poly, f)
 
     def test_negative_floor_rejected(self):
         f = TriangleWeightFn.custom(lambda x, y, z: x + y + z - 10)

@@ -25,7 +25,7 @@ class TestSolveYao:
         assert (opt, tri.edges) == (25, frozenset({(0, 2)}))
         assert stats.visited_cones == stats.total_cones == 3
         assert stats.memo_hits == 0
-        assert stats.backend == "scalar"  # auto stays scalar below n = 64
+        assert stats.backend == "vector"  # auto takes vector whenever it can, at any n
         opt, tri, _ = solve_yao(poly, weight_fns["add"])
         assert (opt, tri.edges) == (16, frozenset({(1, 3)}))
 
@@ -34,14 +34,19 @@ class TestSolveYao:
         assert (opt, tri.edges) == (24, frozenset())
         assert (stats.visited_cones, stats.total_cones) == (1, 1)
 
-    def test_matches_cubic_dp(self, weight_fns):
+    # vector weights capped at 10**5 so every weight fn stays int64-safe at n = 60
+    @pytest.mark.parametrize(
+        "engine, w_hi", [("scalar", 10**6), ("vector", 10**5)], ids=["scalar", "vector"]
+    )
+    def test_matches_cubic_dp(self, engine, w_hi, weight_fns):
         rng = random.Random(79)
         for _ in range(60):
             n = rng.randint(3, 60)
-            poly = Polygon(tuple(rng.randint(1, 10**6) for _ in range(n)))
+            poly = Polygon(tuple(rng.randint(1, w_hi) for _ in range(n)))
             for f in weight_fns.values():
                 want = solve_dp_cubic(poly, f)[0]
-                opt, tri, stats = solve_yao(poly, f)
+                opt, tri, stats = solve_yao(poly, f, engine=engine)
+                assert stats.backend == engine
                 assert opt == want
                 assert validate_triangulation(poly, tri).ok
                 assert triangulation_weight(poly, tri, f) == opt
@@ -79,14 +84,14 @@ class TestSolveYao:
 
     def test_auto_engine_choice(self):
         fa = TriangleWeightFn.additive()
-        rng = random.Random(101)
-        small = Polygon(tuple(rng.randint(1, 99) for _ in range(63)))
-        large = Polygon(tuple(rng.randint(1, 99) for _ in range(64)))
-        assert solve_yao(small, fa)[2].backend == "scalar"
-        assert solve_yao(large, fa)[2].backend == "vector"
-        # no vectorized form: auto falls back to scalar at any size
         f_plain = TriangleWeightFn.custom(lambda x, y, z: x + y + z)
-        assert solve_yao(large, f_plain)[2].backend == "scalar"
+        rng = random.Random(101)
+        for n in (3, 4, 5, 63, 64):
+            poly = Polygon(tuple(rng.randint(1, 99) for _ in range(n)))
+            # vector is faster from n = 4 up, so auto takes it at every size
+            assert solve_yao(poly, fa)[2].backend == "vector"
+            # no vectorized form: auto falls back to scalar at any size
+            assert solve_yao(poly, f_plain)[2].backend == "scalar"
 
     def test_vector_engine_refusals(self):
         fm = TriangleWeightFn.multiplicative()
