@@ -8,8 +8,10 @@ from .core import (
     Polygon,
     TriangleWeightFn,
     Triangulation,
+    INT64_LIMIT,
     check_accumulator_bound,
     int64_safe,
+    int64_watch_bound,
     norm_edge,
 )
 
@@ -17,6 +19,10 @@ from .core import (
 # numpy calls cost more than the python loops; the two engines break even
 # near n = 24 on random weights under mult, add and custom.
 NUMPY_MIN_N = 24
+# Where f(wmax, wmax, wmax) >= 2**63 the numpy engine computes in object
+# dtype from its first diagonal, and the python loops stay as fast up to
+# about n = 50 (mult and custom, weights 2**21..2**23).
+OBJECT_NUMPY_MIN_N = 50
 
 
 def solve_dp_cubic(
@@ -27,9 +33,13 @@ def solve_dp_cubic(
     cost(i, j) is the optimum for the sub-polygon on nodes i..j closed by
     the chord (i, j); the answer is cost(0, n - 1). Ties between split
     points resolve to the smallest index, so reconstruction is
-    deterministic. ``engine`` is "python", "numpy", or "auto"; the numpy
-    path requires a vectorizable f whose accumulated values fit int64, and
-    "auto" takes it when it applies and n >= NUMPY_MIN_N.
+    deterministic. ``engine`` is "python", "numpy", or "auto". The numpy
+    engine needs ``f.vec`` and is exact on every input: it computes in int64
+    while the costs stored so far prove the next diagonal cannot overflow,
+    and in object dtype (exact Python ints) from the first diagonal where
+    they do not. "auto" takes it when ``f.vec`` exists and n >=
+    NUMPY_MIN_N, or n >= OBJECT_NUMPY_MIN_N when f(wmax, wmax, wmax) >=
+    2**63 and so the run is in object dtype throughout.
     """
     f.ensure_monotonic()
     check_accumulator_bound(poly, f)
@@ -38,11 +48,12 @@ def solve_dp_cubic(
         val = f.fn(w[0], w[1], w[2])
         return val, Triangulation(frozenset(), val)
     if engine == "auto":
-        vectorizable = f.vec is not None and int64_safe(poly, f)
-        engine = "numpy" if vectorizable and n >= NUMPY_MIN_N else "python"
+        wmax = max(w)
+        min_n = OBJECT_NUMPY_MIN_N if f.fn(wmax, wmax, wmax) >= INT64_LIMIT else NUMPY_MIN_N
+        engine = "numpy" if f.vec is not None and n >= min_n else "python"
     if engine == "numpy":
-        if f.vec is None or not int64_safe(poly, f):
-            raise OverflowError("numpy engine refused: weight function not int64-safe here")
+        if f.vec is None:
+            raise OverflowError("numpy engine refused: weight function has no vectorized form")
         opt, edges = _dp_numpy(poly, f)
     elif engine == "python":
         opt, edges = _dp_python(poly, f)
@@ -79,14 +90,25 @@ def _dp_numpy(poly: Polygon, f: TriangleWeightFn) -> tuple[int, list[tuple[int, 
     W = np.array(poly.weights, dtype=np.int64)
     cost = np.zeros((n, n), dtype=np.int64)
     split = np.zeros((n, n), dtype=np.int64)
+    # Every candidate of a diagonal is at most 2 * top + tmax, where top is the
+    # largest cost stored so far. From the first diagonal where that bound
+    # reaches 2**63 the tables are object arrays of exact ints; tmax None
+    # means nothing is left to watch.
+    tmax = int64_watch_bound(poly, f)
+    top = 0
     for d in range(2, n):
+        if tmax is not None and 2 * top + tmax >= INT64_LIMIT:
+            W, cost, tmax = W.astype(object), cost.astype(object), None
         i = np.arange(n - d)
         j = i + d
         m = i[:, None] + np.arange(1, d)  # every split point of every arc (i, i + d)
         cand = cost[i[:, None], m] + cost[m, j[:, None]] + f.vec(W[i, None], W[m], W[j, None])
         k = cand.argmin(axis=1)  # first minimum, so ties go to the smallest split
-        cost[i, j] = cand[i, k]
+        best = cand[i, k]
+        cost[i, j] = best
         split[i, j] = m[i, k]
+        if tmax is not None:
+            top = max(top, int(best.max()))
     edges = _dp_edges(n, lambda i, j: int(split[i, j]))
     return int(cost[0, n - 1]), edges
 

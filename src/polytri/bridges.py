@@ -49,9 +49,6 @@ class BridgeTable:
     def s_node(self, u: int, v: int) -> int:
         return self.s[(u, v)][0]
 
-    def s_weight(self, u: int, v: int) -> int:
-        return self.s[(u, v)][1]
-
     def min_rank(self, u: int, v: int) -> int:
         rank_of = self.poly.rank_of
         return min(rank_of[u], rank_of[v])

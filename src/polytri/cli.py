@@ -210,7 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bridges = sub.add_parser("bridges", help="dump bridge table as 'u v S(u,v)' lines")
     p_bridges.add_argument("--input", required=True)
-    p_bridges.add_argument("--finder", choices=("walk", "linear"), default="walk")
+    p_bridges.add_argument("--finder", choices=("walk", "linear"), default="linear")
     p_bridges.set_defaults(func=_cmd_bridges)
     return parser
 

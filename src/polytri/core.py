@@ -16,6 +16,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 WEIGHT_MAX = 2**63 - 1  # node weights must fit a signed 64-bit integer
+INT64_LIMIT = 2**63  # the least value int64 cannot hold
 ACCUMULATOR_MAX = 2**127  # triangulation sums are checked against this bound
 
 Edge = tuple[int, int]
@@ -40,12 +41,27 @@ def norm_edge(a: int, b: int) -> Edge:
 def int64_safe(poly: "Polygon", f: "TriangleWeightFn") -> bool:
     """True when every partial sum of f over any triangulation fits int64.
 
-    Vectorized solver paths are only engaged under this bound, with headroom:
-    the worst case of (n - 2) triangles at the maximum weight stays below
-    2**62.
+    A static bound with headroom: the worst case of (n - 2) triangles at the
+    maximum weight stays below 2**62. Under it the vector engines run in
+    int64 with no overflow bookkeeping; past it they watch the values they
+    compute (``int64_watch_bound``) and continue in object dtype from the
+    first step that could overflow.
     """
     wmax = max(poly.weights)
     return (poly.n - 2) * f.fn(wmax, wmax, wmax) < 2**62
+
+
+def int64_watch_bound(poly: "Polygon", f: "TriangleWeightFn") -> int | None:
+    """The triangle bound a vector engine checks its sums against, or None.
+
+    None when ``int64_safe`` holds, so no sum can overflow and there is
+    nothing to watch. Otherwise f(wmax, wmax, wmax), which bounds every
+    triangle of the polygon because f is monotone.
+    """
+    if int64_safe(poly, f):
+        return None
+    wmax = max(poly.weights)
+    return f.fn(wmax, wmax, wmax)
 
 
 def check_accumulator_bound(poly: "Polygon", f: "TriangleWeightFn") -> None:
@@ -124,10 +140,11 @@ class TriangleWeightFn:
     """A symmetric, monotonic map from three node weights to a cost.
 
     ``kind`` is "mult", "add", or "custom". ``fn`` evaluates Python integers
-    exactly; ``vec``, when present, evaluates numpy int64 arrays elementwise
-    and is only engaged by solvers after an overflow bound check. Custom
-    functions are spot checked for monotonicity and symmetry before any
-    solver will accept them.
+    exactly; ``vec``, when present, evaluates numpy arrays elementwise and
+    must be exact on int64 arrays (the solvers only pass values whose
+    results fit int64) and on object arrays of Python ints. Custom
+    functions are spot checked for monotonicity and symmetry, and ``vec``
+    against ``fn``, before any solver will accept them.
     """
 
     __slots__ = ("kind", "fn", "vec", "_checked")
@@ -176,9 +193,12 @@ class TriangleWeightFn:
 
         Draws ``rounds`` random triples, bumps one coordinate, and requires a
         strict increase; also requires invariance under argument permutation.
-        When ``vec`` is present it is evaluated on the same triples as int64
-        arrays and must agree with ``fn`` wherever fn's value fits int64.
-        Raises MonotonicityError on the first counterexample found.
+        When ``vec`` is present it must agree with ``fn``: as int64 arrays on
+        the same triples wherever fn's value fits int64 and on a few mixed
+        triples at the int64 boundary (up to the largest power of two x
+        with fn(x, x, x) < 2**63), and as object arrays on triples above x.
+        Raises MonotonicityError on the first counterexample found, or when
+        vec raises.
         """
         if self._checked:
             return
@@ -204,17 +224,42 @@ class TriangleWeightFn:
                     f"{self.kind} weight fn is not strictly monotonic: "
                     f"f{tuple(bumped)} <= f{(x, y, z)}"
                 )
-            if base < 2**63:
+            if base < INT64_LIMIT:
                 triples.append((x, y, z))
                 values.append(base)
-        if self.vec is not None and triples:
-            got = self.vec(*np.array(triples, dtype=np.int64).T)
-            for t, g, want in zip(triples, np.broadcast_to(got, len(triples)).tolist(), values):
-                if g != want:
-                    raise MonotonicityError(
-                        f"{self.kind} weight fn's vec disagrees with fn at {t}: {g} != {want}"
-                    )
+        if self.vec is not None:
+            # the vector engines run vec on int64 arrays up to the int64
+            # boundary and on object arrays past it: check it there too
+            x = 1
+            while 2 * x <= WEIGHT_MAX and f(2 * x, 2 * x, 2 * x) < INT64_LIMIT:
+                x *= 2
+            h = max(1, x // 2)
+            for t in ((x, x, x), (x, 1, 1), (1, x, h), (h, x, x), (x, h, 3)):
+                value = f(*t)
+                if value < INT64_LIMIT:
+                    triples.append(t)
+                    values.append(value)
+            if triples:
+                self._check_vec(triples, values, np.int64)
+            y = min(2 * x, WEIGHT_MAX)
+            above = [(y, y, y), (y, 1, x), (x, y, 2)]
+            self._check_vec(above, [f(*t) for t in above], object)
         self._checked = True
+
+    def _check_vec(self, triples: list[tuple[int, int, int]], values: list[int], dtype) -> None:
+        """Raise MonotonicityError unless vec equals fn on ``triples`` as ``dtype`` arrays."""
+        try:
+            got = self.vec(*np.array(triples, dtype=dtype).T)
+            got = np.broadcast_to(got, len(triples)).tolist()
+        except Exception as exc:  # user code: any failure means vec is unusable
+            raise MonotonicityError(
+                f"{self.kind} weight fn's vec raised on {np.dtype(dtype)} arrays: {exc!r}"
+            ) from exc
+        for t, g, want in zip(triples, got, values):
+            if g != want:
+                raise MonotonicityError(
+                    f"{self.kind} weight fn's vec disagrees with fn at {t}: {g} != {want}"
+                )
 
 
 @dataclass(frozen=True)
@@ -317,12 +362,14 @@ def list_triangles(poly: Polygon, tri: Iterable[Edge] | Triangulation) -> set[tu
         if j - i < 2:
             continue
         mids = [m for m in adj[i] & adj[j] if i < m < j]
-        assert len(mids) == 1, f"interval ({i}, {j}) has split candidates {mids}"
+        if len(mids) != 1:
+            raise SolverInvariantError(f"interval ({i}, {j}) has split candidates {mids}")
         m = mids[0]
         out.add((i, m, j))
         work.append((i, m))
         work.append((m, j))
-    assert len(out) == n - 2
+    if len(out) != n - 2:
+        raise SolverInvariantError(f"expected {n - 2} triangles, got {len(out)}")
     return out
 
 

@@ -10,8 +10,12 @@ natural cross-check for the lazier search.
 Two engines: "scalar" runs the public expansion per cone; "vector"
 evaluates all apexed cones of one bridge in a single numpy expression over
 apex weights sorted by rank (prefix slices of that array are exactly the
-apex sets of child bridges). The vector engine requires a vectorized,
-int64-safe weight function; "auto" picks it when it can.
+apex sets of child bridges). The vector engine needs a vectorized weight
+function and is exact on every input: it computes in int64 while the values
+computed so far prove the next bridge's sums fit, and in object dtype
+(exact Python ints in the same expressions) from the first bridge where
+they may not. "auto" picks it whenever the weight function has a vectorized
+form; "scalar" is the reference engine and the path without one.
 """
 
 from __future__ import annotations
@@ -32,8 +36,9 @@ from .core import (
     Polygon,
     TriangleWeightFn,
     Triangulation,
+    INT64_LIMIT,
     check_accumulator_bound,
-    int64_safe,
+    int64_watch_bound,
 )
 
 __all__ = ["solve_yao"]
@@ -85,6 +90,13 @@ def _sweep_vector(
     WR = W[np.array(rank, dtype=np.int64)]  # weights in rank order
     v0: dict[Bridge, int] = {}
     vz: dict[Bridge, np.ndarray] = {}
+    # A bridge's row is at most v0 + tmax, so top, the running maximum of that,
+    # bounds every row and 2 * top every sum a row takes part in. From the
+    # first bridge where that reaches 2**63, apex weights, and so all later
+    # rows, are object arrays of exact ints; earlier int64 rows mix in exactly.
+    # tmax None means nothing is left to watch.
+    tmax = int64_watch_bound(poly, f)
+    top = 0
 
     def apexless(bu: int, bv: int) -> int:
         d = (bv - bu) % n
@@ -128,6 +140,10 @@ def _sweep_vector(
             v0[(u, v)] = val
         m = min(rank_of[u], rank_of[v])
         if m:
+            if tmax is not None:
+                top = max(top, v0[(u, v)] + tmax)
+                if 2 * top >= INT64_LIMIT:
+                    WR, tmax = WR.astype(object), None
             wz = WR[:m]
             x2 = table.s_node(u, v)
             with_bridge = fvec(w[u], w[v], wz) + v0[(u, v)]
@@ -150,8 +166,10 @@ def solve_yao(
 
     Returns (optimal weight, a witness triangulation, stats); visited_cones
     equals total_cones since the sweep evaluates the whole census. engine
-    is "scalar", "vector", or "auto"; the vector engine refuses weight
-    functions it cannot evaluate exactly in int64.
+    is "scalar", "vector", or "auto"; the vector engine refuses only a
+    weight function without ``vec``, and "auto" takes it whenever ``vec``
+    exists. Past the int64 range it continues in object dtype, so both
+    engines return the same exact values and edges.
     """
     t0 = time.perf_counter_ns()
     f.ensure_monotonic()
@@ -160,11 +178,11 @@ def solve_yao(
     table = find_bridges_linear(poly)
     total = table.total_cones()
     if engine == "auto":
-        engine = "vector" if f.vec is not None and int64_safe(poly, f) else "scalar"
+        engine = "vector" if f.vec is not None else "scalar"
     if engine not in ("scalar", "vector"):
         raise ValueError(f"unknown engine {engine!r}")
-    if engine == "vector" and (f.vec is None or not int64_safe(poly, f)):
-        raise OverflowError("vector engine refused: weight function not int64-safe here")
+    if engine == "vector" and f.vec is None:
+        raise OverflowError("vector engine refused: weight function has no vectorized form")
 
     bridges = sorted(table.bridges, key=lambda br: (br[1] - br[0]) % n)
     n1 = n + 1

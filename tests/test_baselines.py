@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import polytri.baselines as baselines
 from polytri import (
     Polygon,
     TriangleWeightFn,
@@ -134,15 +135,50 @@ class TestCubicDP:
         # preference yields the fan anchored at node n-1
         assert t1.edges == frozenset({(1, 5), (2, 5), (3, 5)})
 
-    def test_numpy_engine_refuses_unsafe_weights(self):
+    def test_numpy_engine_exact_on_unsafe_weights(self):
         fm = TriangleWeightFn.multiplicative()
         poly = Polygon((2**22,) * 70)
-        with pytest.raises(OverflowError, match="refused"):
-            solve_dp_cubic(poly, fm, engine="numpy")
-        # auto falls back to the exact python path instead
+        # every triangle weighs 2**66, so the numpy engine runs in object dtype
+        vp, tp = solve_dp_cubic(poly, fm, engine="python")
+        vn, tn = solve_dp_cubic(poly, fm, engine="numpy")
+        assert vn == vp == 68 * 2**66
+        assert tn.edges == tp.edges
         opt, tri = solve_dp_cubic(poly, fm)
         assert opt == 68 * 2**66
         assert validate_triangulation(poly, tri).ok
+        # only a weight function without a vectorized form is refused
+        f_plain = TriangleWeightFn.custom(lambda x, y, z: x * y * z)
+        with pytest.raises(OverflowError, match="refused"):
+            solve_dp_cubic(poly, f_plain, engine="numpy")
+
+    @pytest.mark.parametrize(
+        "n, w, engine",
+        [
+            (23, 10**6, "python"),
+            (24, 10**6, "numpy"),  # not int64-safe, but f(wmax, wmax, wmax) < 2**63
+            (49, 2**21, "python"),  # f(wmax, wmax, wmax) = 2**63: object dtype throughout
+            (50, 2**21, "numpy"),
+        ],
+    )
+    def test_auto_engine_choice(self, n, w, engine, monkeypatch):
+        taken = []
+
+        def spy(name):
+            real = getattr(baselines, name)
+
+            def run(poly, f):
+                taken.append(name)
+                return real(poly, f)
+
+            return run
+
+        for name in ("_dp_python", "_dp_numpy"):
+            monkeypatch.setattr(baselines, name, spy(name))
+        fm = TriangleWeightFn.multiplicative()
+        solve_dp_cubic(Polygon((w,) * n), fm)
+        assert taken == [f"_dp_{engine}"]
+        solve_dp_cubic(Polygon((w,) * n), TriangleWeightFn.custom(fm.fn))
+        assert taken[-1] == "_dp_python"  # no vectorized form
 
     def test_rejects_unknown_engine(self):
         with pytest.raises(ValueError):

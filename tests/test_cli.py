@@ -148,11 +148,12 @@ class TestGen:
 
 
 class TestBridges:
-    @pytest.mark.parametrize("finder", ["walk", "linear"])
-    def test_quad_golden(self, capsys, quad_file, finder):
-        code, out, _ = run_cli(
-            capsys, "bridges", "--input", quad_file, "--finder", finder
-        )
+    @pytest.mark.parametrize(
+        "finder_args", [["--finder", "walk"], ["--finder", "linear"], []],
+        ids=["walk", "linear", "default"],
+    )
+    def test_quad_golden(self, capsys, quad_file, finder_args):
+        code, out, _ = run_cli(capsys, "bridges", "--input", quad_file, *finder_args)
         assert code == 0
         assert out == "1 3 2\n1 0 3\n"
 

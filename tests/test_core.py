@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from polytri import (
     InvalidTriangulationError,
     MonotonicityError,
     Polygon,
+    SolverInvariantError,
     TriangleWeightFn,
     Triangulation,
     format_polygon,
@@ -24,6 +26,7 @@ from polytri import (
     validate_triangulation,
     weight_rank,
 )
+from polytri import core
 from polytri.core import WEIGHT_MAX, check_accumulator_bound, int64_safe
 
 from conftest import any_crossing
@@ -108,6 +111,22 @@ class TestTriangleWeightFn:
         for solve in (solve_dp_cubic, solve_yao, solve_bst):
             with pytest.raises(MonotonicityError, match="vec disagrees with fn"):
                 solve(poly, f)
+
+    def test_vec_wrong_at_int64_boundary_rejected(self):
+        # agrees with fn on every triple up to 1000, wrong from x*y*z >= 2**40
+        f = TriangleWeightFn.custom(
+            lambda x, y, z: x * y * z, vec=lambda x, y, z: x * y * z % 2**40
+        )
+        with pytest.raises(MonotonicityError, match="vec disagrees with fn"):
+            f.ensure_monotonic()
+
+    def test_vec_failing_on_object_arrays_rejected(self):
+        # exact in int64, but the vector engines also pass object arrays
+        f = TriangleWeightFn.custom(
+            lambda x, y, z: x * y * z, vec=lambda x, y, z: (x * y * z).astype(np.int64)
+        )
+        with pytest.raises(MonotonicityError, match="vec raised on object arrays"):
+            f.ensure_monotonic()
 
     def test_negative_floor_rejected(self):
         f = TriangleWeightFn.custom(lambda x, y, z: x + y + z - 10)
@@ -224,6 +243,12 @@ class TestListTriangles:
     def test_rejects_invalid(self):
         with pytest.raises(InvalidTriangulationError):
             list_triangles(QUAD, {(0, 2), (1, 3)})
+
+    def test_unsplittable_interval_raises_invariant_error(self, monkeypatch):
+        # reachable only if validation passed an edge set it should not have
+        monkeypatch.setattr(core, "require_valid", lambda poly, tri: set())
+        with pytest.raises(SolverInvariantError, match="split candidates"):
+            list_triangles(Polygon((1,) * 5), set())
 
 
 class TestPolygonFormat:

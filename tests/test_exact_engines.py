@@ -1,0 +1,118 @@
+"""The vector engines on inputs that int64_safe rejects.
+
+dp3's numpy engine and Yao's vector engine compute in int64 while the
+values computed so far prove the next step cannot overflow, and in object
+dtype (exact Python ints) from the first step where that proof fails. Each
+case here must give the value and the edge set of the reference engines,
+dp3 "python" and Yao "scalar", which use Python ints throughout.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from polytri import (
+    Polygon,
+    TriangleWeightFn,
+    gen_random_chain,
+    solve_dp_cubic,
+    solve_yao,
+    triangulation_weight,
+)
+from polytri.core import INT64_LIMIT, int64_safe
+
+FNS = {
+    "mult": TriangleWeightFn.multiplicative(),
+    "add": TriangleWeightFn.additive(),
+    "custom": TriangleWeightFn.product_plus_sum(),
+    "pairs": TriangleWeightFn.custom(
+        lambda x, y, z: x * y + y * z + z * x, vec=lambda x, y, z: x * y + y * z + z * x
+    ),
+}
+
+
+def assert_engines_agree(poly: Polygon, f: TriangleWeightFn) -> int:
+    vp, tp = solve_dp_cubic(poly, f, engine="python")
+    vn, tn = solve_dp_cubic(poly, f, engine="numpy")
+    assert (vn, tn.edges) == (vp, tp.edges)
+    vs, ts, _ = solve_yao(poly, f, engine="scalar")
+    vv, tv, _ = solve_yao(poly, f, engine="vector")
+    assert (vv, tv.edges) == (vs, ts.edges)
+    assert vs == vp
+    return vp
+
+
+def heavy_light(seed: int, n: int, heavy: int) -> Polygon:
+    rng = random.Random(seed)
+    return Polygon(
+        tuple(heavy - rng.randrange(8) if rng.random() < 0.9 else rng.randint(1, 50) for _ in range(n))
+    )
+
+
+@pytest.mark.parametrize("m", [100, 150, 200])
+def test_random_chains(m):
+    # dims to 10**6: every triangle fits int64, their sums may not
+    poly = Polygon(gen_random_chain(m, m, lo=1, hi=10**6).dims)
+    fm = FNS["mult"]
+    assert not int64_safe(poly, fm)
+    assert_engines_agree(poly, fm)
+
+
+@pytest.mark.parametrize("fname", ["mult", "custom"])
+@pytest.mark.parametrize(
+    "poly",
+    [
+        Polygon((2**20,) * 70),
+        heavy_light(1, 60, 2**20),
+        heavy_light(3, 40, 2**20),
+        heavy_light(2, 60, 2**21 - 1000),
+    ],
+    ids=["uniform-2^20", "mix-2^20-a", "mix-2^20-b", "mix-2^21"],
+)
+def test_switch_to_object_mid_run(poly, fname):
+    # every triangle fits int64, but runs of heavy nodes cost more than
+    # 2**63: dp3 starts in int64 and switches at diagonal 6 (weights near
+    # 2**20) or 3 (near 2**21); Yao switches at one bridge in the mixes,
+    # while the uniform polygon's rows stay small enough for int64
+    f = FNS[fname]
+    wmax = max(poly.weights)
+    assert f.fn(wmax, wmax, wmax) < INT64_LIMIT
+    assert assert_engines_agree(poly, f) > 0
+
+
+@pytest.mark.parametrize("fname", ["mult", "custom"])
+@pytest.mark.parametrize(
+    "poly",
+    [Polygon((2**22,) * 70), heavy_light(3, 50, 2**22), Polygon((2**40, 1, 2, 2**40, 3, 4, 2**39))],
+    ids=["uniform", "mix", "2^40"],
+)
+def test_object_from_the_start(poly, fname):
+    f = FNS[fname]
+    wmax = max(poly.weights)
+    assert f.fn(wmax, wmax, wmax) >= INT64_LIMIT
+    assert_engines_agree(poly, f)
+
+
+def test_optimum_fits_int64_while_a_losing_candidate_does_not():
+    # two light nodes among heavy ones: fans from the light nodes are cheap,
+    # any triangulation leaning on heavy triangles overflows int64
+    heavy = 2**20
+    poly = Polygon((1, 2) + (heavy,) * 30)
+    fm = FNS["mult"]
+    opt = assert_engines_agree(poly, fm)
+    assert opt < INT64_LIMIT
+    heavy_fan = {(2, j) for j in range(4, 32)} | {(0, 2)}
+    assert triangulation_weight(poly, heavy_fan, fm) >= INT64_LIMIT
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    weights=st.lists(
+        st.one_of(st.integers(1, 64), st.integers(2**18, 2**22)), min_size=3, max_size=40
+    ),
+    fname=st.sampled_from(sorted(FNS)),
+)
+def test_vector_engines_equal_reference_engines(weights, fname):
+    assert_engines_agree(Polygon(tuple(weights)), FNS[fname])
