@@ -11,13 +11,17 @@ of distinct cones. Branches follow two shapes:
   specific edge is (branch 2), and the solver takes the cheaper.
 
 ``expand_cone`` and ``expand_root`` are the public, self-describing form of
-the rules; ``solve_bst`` runs the same rules through a flattened work stack
-with packed integer keys. ``reconstruct_triangulation`` evaluates the root
-and walks one winning edge set over the solved values by packed key, for
-this solver and for yao_solver's sweep; a stored value that no branch
-reproduces raises SolverInvariantError. The tests cross-check the packed
-forms against the public rules: cone values against a recursion over
-``expand_cone``, and witnesses against a re-expansion of winning cones.
+the rules. Every cone expansion also has one compact shape, (p, a, b),
+stated once in ``_cone_shape``. ``solve_bst`` runs that shape inline over
+a flattened work stack with packed integer keys and one memo interface: a
+dict (backend "hash") or the write-once ``MemoStore`` (backend "dense").
+``reconstruct_triangulation`` evaluates the root and walks one winning edge
+set over the solved values by packed key, for this solver and for
+yao_solver's sweep; it calls ``_cone_shape``, as does yao_solver's vector
+sweep. A stored value that no branch reproduces raises
+SolverInvariantError. The tests cross-check the packed forms against the
+public rules: cone values against a recursion over ``expand_cone``, and
+witnesses against a re-expansion of winning cones.
 """
 
 from __future__ import annotations
@@ -68,9 +72,12 @@ class SolveStats:
     """Instrumentation for one solve.
 
     visited_cones counts memo misses: cones whose value was actually
-    computed (the root counts when it is itself a cone; base cases folded
-    inline do not). total_cones is the full census from the bridge table,
-    so visited_cones <= total_cones always holds.
+    computed and stored, the root included when it is itself a cone.
+    Apexless cones of one triangle ((v - u) % n == 2) are stored and
+    counted like any other; apexed cones of one triangle are never stored
+    or counted, as they fold into their parent's constants. total_cones is
+    the full census from the bridge table, so visited_cones <= total_cones
+    always holds.
     """
 
     visited_cones: int
@@ -203,76 +210,54 @@ def expand_root(poly: Polygon) -> list[Branch]:
 
 
 class MemoStore:
-    """Cone-value memo over packed keys (u*n + v)*(n + 1) + k, k = apex+1 or 0.
+    """The dense cone-value memo: a write-once mapping over packed cone keys.
 
-    The hash backend is a plain dict. The dense backend allocates one
-    (n + 1)-slot row per bridge, lazily, with -1 as the empty sentinel;
-    requesting a row for a non-bridge pair raises KeyError, which keeps the
-    solver honest about only ever memoizing cones of real bridges (only the
-    dense backend reads bridge_keys). Cells are write-once. Dense rows cost
-    O(n) each and O(n^2) overall, so the backend refuses polygons larger
-    than dense_cap.
+    Keys are (u*n + v)*(n + 1) + k, k = apex + 1 or 0. Each bridge owns one
+    (n + 1)-slot row, allocated on first use, with -1 as the empty sentinel.
+    It supports ``in``, ``[]``, ``[]=`` and ``len`` like the dict that the
+    hash backend uses instead. A key whose row is not a bridge raises
+    KeyError, which keeps the solver honest about only ever memoizing cones
+    of real bridges; so does reading an empty cell. A second write raises
+    SolverInvariantError. Rows cost O(n) each and O(n^2) overall, so the
+    store refuses polygons larger than dense_cap.
     """
 
-    __slots__ = ("n", "n1", "backend", "data", "rows", "bridge_keys")
+    __slots__ = ("n1", "rows", "bridge_keys")
 
-    def __init__(
-        self,
-        n: int,
-        backend: str = "hash",
-        bridge_keys: Iterable[int] = (),
-        dense_cap: int = 2000,
-    ):
-        if backend not in ("hash", "dense"):
-            raise ValueError(f"unknown memo backend {backend!r}")
-        if backend == "dense" and n > dense_cap:
+    def __init__(self, n: int, bridge_keys: Iterable[int], dense_cap: int = 2000):
+        if n > dense_cap:
             raise ValueError(
                 f"dense memo refused for n={n} > dense_cap={dense_cap}; use the hash backend"
             )
-        self.n = n
         self.n1 = n + 1
-        self.backend = backend
-        self.data: dict[int, int] = {}
         self.rows: dict[int, list[int]] = {}
-        self.bridge_keys = frozenset(bridge_keys) if backend == "dense" else frozenset()
+        self.bridge_keys = frozenset(bridge_keys)
 
-    def _row(self, bk: int) -> list[int]:
-        row = self.rows.get(bk)
-        if row is None:
-            if bk not in self.bridge_keys:
-                raise KeyError(f"no bridge for packed pair key {bk}")
-            row = self.rows[bk] = [-1] * self.n1
+    def _new_row(self, bk: int) -> list[int]:
+        if bk not in self.bridge_keys:
+            raise KeyError(f"no bridge for packed pair key {bk}")
+        row = self.rows[bk] = [-1] * self.n1
         return row
 
-    def get(self, key: int) -> int | None:
-        if self.backend == "hash":
-            return self.data.get(key)
+    def __contains__(self, key: int) -> bool:
         bk, k = divmod(key, self.n1)
-        val = self._row(bk)[k]
-        return None if val < 0 else val
+        return (self.rows.get(bk) or self._new_row(bk))[k] >= 0
 
     def __getitem__(self, key: int) -> int:
-        """The stored value; KeyError on an empty cell."""
-        val = self.get(key)
-        if val is None:
+        bk, k = divmod(key, self.n1)
+        val = (self.rows.get(bk) or self._new_row(bk))[k]
+        if val < 0:
             raise KeyError(f"memo cell {key} is empty")
         return val
 
-    def put(self, key: int, value: int) -> None:
-        if self.backend == "hash":
-            if key in self.data:
-                raise SolverInvariantError(f"memo cell {key} written twice")
-            self.data[key] = value
-            return
+    def __setitem__(self, key: int, value: int) -> None:
         bk, k = divmod(key, self.n1)
-        row = self._row(bk)
-        if row[k] != -1:
+        row = self.rows.get(bk) or self._new_row(bk)
+        if row[k] >= 0:
             raise SolverInvariantError(f"memo cell {key} written twice")
         row[k] = value
 
     def __len__(self) -> int:
-        if self.backend == "hash":
-            return len(self.data)
         return sum(1 for row in self.rows.values() for v in row if v >= 0)
 
 
@@ -293,6 +278,31 @@ def _root_cones(poly: Polygon) -> tuple[tuple[Edge, ...], list[tuple[int, int, i
     return br.edges, [(c.u, c.v, 0 if c.apex is None else c.apex + 1) for c in br.children]
 
 
+def _cone_shape(
+    poly: Polygon, table: BridgeTable, u: int, v: int, k: int
+) -> tuple[int, int, int, bool]:
+    """The (p, a, b, one) shape of non-base cone (u, v) with apex k - 1 (k = 0: none).
+
+    Every expand_cone expansion has this shape. p is the apex, or the
+    lighter endpoint of an apexless cone, and (a, b) is the bridge left
+    after p's forced side. Branch 1, present only when ``one`` is set, is
+    the triangle (a, b, p) plus the apexless cone (a, b). Branch 2 (the
+    only, forced, branch when ``one`` is not set) is the edge (p, m),
+    m = S(a, b), splitting into the cones (a, m) and (m, b), each with apex
+    p unless p is its endpoint.
+    """
+    if k:
+        return k - 1, u, v, True
+    n, w = poly.n, poly.weights
+    x3 = table.s[(u, v)][0]
+    if (w[u], u) < (w[v], v):
+        x = (u + 1) % n
+        # x is S(u, v): two branches; otherwise the edge (u, S(u, v)) is forced
+        return (u, x, v, True) if x == x3 else (u, u, v, False)
+    x = (v - 1) % n
+    return (v, u, x, True) if x == x3 else (v, u, v, False)
+
+
 def reconstruct_triangulation(
     poly: Polygon,
     table: BridgeTable,
@@ -306,15 +316,10 @@ def reconstruct_triangulation(
     directly and never looked up. The root is evaluated first, as the sum
     of its cones (_root_cones). Returns (optimal weight, edges).
 
-    Every expand_cone expansion has one shape: with p the apex (or the
-    lighter endpoint of an apexless cone) and (a, b) the bridge left after
-    p's forced side, branch 1 is the triangle (a, b, p) plus the apexless
-    cone (a, b), and branch 2 (or the only, forced, branch) is the edge
-    (p, m), m = S(a, b), splitting into cones (a, m) and (m, b) with apex p
-    unless p is their endpoint. Branch 1 is taken when it reproduces the
-    solved value, so it wins ties as in the search; otherwise branch 2 must,
-    or SolverInvariantError is raised, as it is when the walk does not yield
-    n - 3 edges.
+    Each cone is expanded in its (p, a, b) shape (_cone_shape). Branch 1 is
+    taken when it reproduces the solved value, so it wins ties as in the
+    search; otherwise branch 2 must, or SolverInvariantError is raised, as
+    it is when the walk does not yield n - 3 edges.
     """
     n, w, fw, s = poly.n, poly.weights, f.fn, table.s
     n1 = n + 1
@@ -343,16 +348,7 @@ def reconstruct_triangulation(
         val = stack.pop()
         bk, k = divmod(stack.pop(), n1)
         u, v = divmod(bk, n)
-        if k:
-            p, a, b, one = k - 1, u, v, True
-        elif (w[u], u) < (w[v], v):
-            p, x = u, (u + 1) % n
-            one = x == s[(u, v)][0]  # else the edge (u, S(u, v)) is forced
-            a, b = (x, v) if one else (u, v)
-        else:
-            p, x = v, (v - 1) % n
-            one = x == s[(u, v)][0]
-            a, b = (u, x) if one else (u, v)
+        p, a, b, one = _cone_shape(poly, table, u, v, k)
         if one:
             c, vc = cone(a, b, 0)
             if fw(w[a], w[b], w[p]) + vc == val:
@@ -392,8 +388,8 @@ def solve_bst(
     few distinct cones (staircase polygons being the canonical family) the
     visited count is far below the quadratic census.
 
-    backend selects the memo representation ("hash" or "dense"); the dense
-    backend refuses n > dense_cap.
+    backend selects the memo: "hash" is a dict, "dense" a MemoStore, which
+    refuses n > dense_cap.
     """
     t0 = time.perf_counter_ns()
     f.ensure_monotonic()
@@ -402,9 +398,13 @@ def solve_bst(
     table = find_bridges_linear(poly)
     total = table.total_cones()
     n1 = n + 1
-    store = MemoStore(n, backend, (u * n + v for u, v in table.bridges), dense_cap)
-    dense = store.backend == "dense"
-    memo = store.data
+    memo: dict[int, int] | MemoStore
+    if backend == "hash":
+        memo = {}
+    elif backend == "dense":
+        memo = MemoStore(n, (u * n + v for u, v in table.bridges), dense_cap)
+    else:
+        raise ValueError(f"unknown memo backend {backend!r}")
     s_of = {u * n + v: node for (u, v), (node, _) in table.s.items()}
     fw = f.fn
     lighter = poly.lighter
@@ -417,136 +417,72 @@ def solve_bst(
     ]
 
     # Work stack: an int is a cone key to expand; a tuple is a combine
-    # record (key, const1, childA, childB[, const2, child2A, child2B]) with
-    # -1 for an absent child. Base-case children fold into the constants.
+    # record (key, const2, child2A, child2B[, const1, child1]) for branch 2
+    # and, when present, branch 1, with -1 for an absent branch-2 child.
+    # Base-case apexed children fold into the constants; apexless children
+    # span at least two sides, so they are always pushed.
     while work:
         item = work.pop()
         if type(item) is int:
             key = item
-            if dense:
-                if store.get(key) is not None:
-                    hits += 1
-                    continue
-            elif key in memo:
+            if key in memo:
                 hits += 1
                 continue
             visited += 1
             bk, k = divmod(key, n1)
             u, v = divmod(bk, n)
+            # _cone_shape, written inline: a call per cone made staircase 50% slower
+            ab = bk
             if k:
-                z = k - 1
-                x2 = s_of[bk]
-                c1 = fw(w[u], w[v], w[z])
-                ch1 = bk * n1
-                c2 = 0
-                ch2a = ch2b = -1
-                if (x2 - u) % n == 1:
-                    c2 += fw(w[u], w[x2], w[z])
-                else:
-                    ch2a = (u * n + x2) * n1 + k
-                if (v - x2) % n == 1:
-                    c2 += fw(w[x2], w[v], w[z])
-                else:
-                    ch2b = (x2 * n + v) * n1 + k
-                work.append((key, c1, ch1, -1, c2, ch2a, ch2b))
-                work.append(ch1)
-                if ch2a >= 0:
-                    work.append(ch2a)
-                if ch2b >= 0:
-                    work.append(ch2b)
-                continue
-            if (v - u) % n == 2:
+                p = k - 1
+                a = u
+                b = v
+                one = True
+            elif (v - u) % n == 2:
                 # one interior node: a single triangle, no expansion
-                store.put(key, fw(w[u], w[(u + 1) % n], w[v]))
+                memo[key] = fw(w[u], w[(u + 1) % n], w[v])
                 continue
-            t3 = s_of[bk]
-            if lighter(u, v):
+            elif lighter(u, v):
+                p = a = u
+                b = v
                 x = u + 1 - n if u + 1 >= n else u + 1
-                if x != t3:
-                    c1 = 0
-                    ch1 = (u * n + t3) * n1
-                    if (v - t3) % n == 1:
-                        c1 += fw(w[t3], w[v], w[u])
-                        ch2 = -1
-                    else:
-                        ch2 = (t3 * n + v) * n1 + u + 1
-                    work.append((key, c1, ch1, ch2))
-                    work.append(ch1)
-                    if ch2 >= 0:
-                        work.append(ch2)
-                    continue
-                x2 = s_of[x * n + v]
-                c1 = fw(w[u], w[x], w[v])
-                ch1 = (x * n + v) * n1
-                c2 = 0
-                ch2a = ch2b = -1
-                if (x2 - x) % n == 1:
-                    c2 += fw(w[x], w[x2], w[u])
-                else:
-                    ch2a = (x * n + x2) * n1 + u + 1
-                if (v - x2) % n == 1:
-                    c2 += fw(w[x2], w[v], w[u])
-                else:
-                    ch2b = (x2 * n + v) * n1 + u + 1
-                work.append((key, c1, ch1, -1, c2, ch2a, ch2b))
-                work.append(ch1)
-                if ch2a >= 0:
-                    work.append(ch2a)
-                if ch2b >= 0:
-                    work.append(ch2b)
-                continue
-            x = v - 1 if v else n - 1
-            if x != t3:
-                c1 = 0
-                ch2 = (t3 * n + v) * n1
-                if (t3 - u) % n == 1:
-                    c1 += fw(w[u], w[t3], w[v])
-                    ch1 = -1
-                else:
-                    ch1 = (u * n + t3) * n1 + v + 1
-                work.append((key, c1, ch1, ch2))
-                if ch1 >= 0:
-                    work.append(ch1)
-                work.append(ch2)
-                continue
-            x2 = s_of[u * n + x]
-            c1 = fw(w[u], w[x], w[v])
-            ch1 = (u * n + x) * n1
+                one = x == s_of[bk]
+                if one:
+                    a = x
+                    ab = x * n + v
+            else:
+                p = b = v
+                a = u
+                x = v - 1 if v else n - 1
+                one = x == s_of[bk]
+                if one:
+                    b = x
+                    ab = u * n + x
+            m = s_of[ab]
             c2 = 0
             ch2a = ch2b = -1
-            if (x2 - u) % n == 1:
-                c2 += fw(w[u], w[x2], w[v])
+            if p == a:
+                ch2a = (a * n + m) * n1
+            elif (m - a) % n == 1:
+                c2 = fw(w[a], w[m], w[p])
             else:
-                ch2a = (u * n + x2) * n1 + v + 1
-            if (x - x2) % n == 1:
-                c2 += fw(w[x2], w[x], w[v])
+                ch2a = (a * n + m) * n1 + p + 1
+            if p == b:
+                ch2b = (m * n + b) * n1
+            elif (b - m) % n == 1:
+                c2 += fw(w[m], w[b], w[p])
             else:
-                ch2b = (x2 * n + x) * n1 + v + 1
-            work.append((key, c1, ch1, -1, c2, ch2a, ch2b))
-            work.append(ch1)
+                ch2b = (m * n + b) * n1 + p + 1
+            if one:
+                ch1 = ab * n1
+                work.append((key, c2, ch2a, ch2b, fw(w[a], w[b], w[p]), ch1))
+                work.append(ch1)
+            else:
+                work.append((key, c2, ch2a, ch2b))
             if ch2a >= 0:
                 work.append(ch2a)
             if ch2b >= 0:
                 work.append(ch2b)
-        elif dense:
-            val = item[1]
-            a = item[2]
-            if a >= 0:
-                val += store.get(a)  # type: ignore[operator]
-            a = item[3]
-            if a >= 0:
-                val += store.get(a)  # type: ignore[operator]
-            if len(item) == 7:
-                alt = item[4]
-                a = item[5]
-                if a >= 0:
-                    alt += store.get(a)  # type: ignore[operator]
-                a = item[6]
-                if a >= 0:
-                    alt += store.get(a)  # type: ignore[operator]
-                if alt < val:
-                    val = alt
-            store.put(item[0], val)
         else:
             val = item[1]
             a = item[2]
@@ -555,14 +491,8 @@ def solve_bst(
             a = item[3]
             if a >= 0:
                 val += memo[a]
-            if len(item) == 7:
-                alt = item[4]
-                a = item[5]
-                if a >= 0:
-                    alt += memo[a]
-                a = item[6]
-                if a >= 0:
-                    alt += memo[a]
+            if len(item) == 6:
+                alt = item[4] + memo[item[5]]
                 if alt < val:
                     val = alt
             key = item[0]
@@ -570,8 +500,6 @@ def solve_bst(
                 raise SolverInvariantError(f"memo cell {key} written twice")
             memo[key] = val
 
-    opt, edges = reconstruct_triangulation(
-        poly, table, f, store.__getitem__ if dense else memo.__getitem__
-    )
+    opt, edges = reconstruct_triangulation(poly, table, f, memo.__getitem__)
     stats = SolveStats(visited, hits, total, time.perf_counter_ns() - t0, backend)
     return opt, Triangulation(edges, opt), stats

@@ -119,9 +119,6 @@ class Polygon:
         d = (a - b) % self.n
         return d == 1 or d == self.n - 1
 
-    def is_side(self, a: int, b: int) -> bool:
-        return self.adjacent(a, b)
-
     def arc_len(self, u: int, v: int) -> int:
         """Number of clockwise steps from u to v (0 means u == v)."""
         return (v - u) % self.n
@@ -312,7 +309,7 @@ def validate_triangulation(poly: Polygon, edges: Iterable[Edge] | Triangulation)
     if len(es) != n - 3:
         return ValidationResult(False, "count", f"expected {n - 3} edges, got {len(es)}")
     for a, b in sorted(es):
-        if poly.is_side(a, b):
+        if poly.adjacent(a, b):
             return ValidationResult(False, "side", f"edge ({a}, {b}) duplicates a polygon side")
     # Sweep positions once; non-crossing chords must nest like parentheses.
     opens: list[list[int]] = [[] for _ in range(n)]

@@ -18,7 +18,7 @@ from .core import (
     Edge,
     Polygon,
     Triangulation,
-    require_valid,
+    list_triangles,
 )
 
 
@@ -53,30 +53,6 @@ def chain_to_polygon(chain: ChainDims) -> Polygon | None:
     return Polygon(chain.dims)
 
 
-def _split_table(poly: Polygon, edges: set[Edge]) -> dict[Edge, int]:
-    """For each chord or closing side (i, j), the split node of its triangle."""
-    n = poly.n
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for i in range(n):
-        adj[i].add((i + 1) % n)
-        adj[(i + 1) % n].add(i)
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    splits: dict[Edge, int] = {}
-    work = [(0, n - 1)]
-    while work:
-        i, j = work.pop()
-        if j - i < 2:
-            continue
-        mids = [m for m in adj[i] & adj[j] if i < m < j]
-        assert len(mids) == 1
-        splits[(i, j)] = mids[0]
-        work.append((i, mids[0]))
-        work.append((mids[0], j))
-    return splits
-
-
 def triangulation_to_parenthesization(
     chain: ChainDims, tri: Iterable[Edge] | Triangulation
 ) -> str:
@@ -88,7 +64,7 @@ def triangulation_to_parenthesization(
     if chain.n_matrices == 1:
         return "A1"
     poly = chain_to_polygon(chain)
-    splits = _split_table(poly, require_valid(poly, tri))
+    splits = {(i, j): m for i, m, j in list_triangles(poly, tri)}
     n = poly.n
     parts: dict[Edge, str] = {}
     work: list[tuple[int, int, bool]] = [(0, n - 1, False)]
@@ -117,7 +93,7 @@ def parenthesization_cost(chain: ChainDims, tri: Iterable[Edge] | Triangulation)
     if chain.n_matrices == 1:
         return 0
     poly = chain_to_polygon(chain)
-    splits = _split_table(poly, require_valid(poly, tri))
+    splits = {(i, j): m for i, m, j in list_triangles(poly, tri)}
     p = chain.dims
     n = poly.n
     cost: dict[Edge, int] = {}

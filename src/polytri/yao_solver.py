@@ -27,6 +27,7 @@ import numpy as np
 from .bridges import Bridge, BridgeTable, Cone, find_bridges_linear
 from .bst_solver import (
     SolveStats,
+    _cone_shape,
     cone_value_base,
     expand_cone,
     is_base_cone,
@@ -98,45 +99,27 @@ def _sweep_vector(
     tmax = int64_watch_bound(poly, f)
     top = 0
 
-    def apexless(bu: int, bv: int) -> int:
-        d = (bv - bu) % n
-        if d == 1:
-            return 0
-        if d == 2:
-            return fw(w[bu], w[(bu + 1) % n], w[bv])
-        return v0[(bu, bv)]
+    def child(a: int, b: int, p: int) -> int:
+        """Value of cone (a, b) with apex p, apexless when p is a or b.
 
-    def apexed(bu: int, bv: int, z: int) -> int:
-        if (bv - bu) % n == 1:
-            return fw(w[bu], w[bv], w[z])
-        return int(vz[(bu, bv)][rank_of[z]])
+        An apexless child spans at least two sides and was swept before its
+        parent, so v0 holds it.
+        """
+        if p == a or p == b:
+            return v0[(a, b)]
+        if (b - a) % n == 1:
+            return fw(w[a], w[b], w[p])
+        return int(vz[(a, b)][rank_of[p]])
 
     for u, v in bridges:
-        d = (v - u) % n
-        if d == 2:
+        if (v - u) % n == 2:
             v0[(u, v)] = fw(w[u], w[(u + 1) % n], w[v])
         else:
-            t3 = table.s_node(u, v)
-            if poly.lighter(u, v):
-                x = (u + 1) % n
-                if x != t3:
-                    val = apexless(u, t3) + apexed(t3, v, u)
-                else:
-                    x2 = table.s_node(x, v)
-                    val = min(
-                        fw(w[u], w[x], w[v]) + apexless(x, v),
-                        apexed(x, x2, u) + apexed(x2, v, u),
-                    )
-            else:
-                x = (v - 1) % n
-                if x != t3:
-                    val = apexed(u, t3, v) + apexless(t3, v)
-                else:
-                    x2 = table.s_node(u, x)
-                    val = min(
-                        fw(w[u], w[x], w[v]) + apexless(u, x),
-                        apexed(u, x2, v) + apexed(x2, x, v),
-                    )
+            p, a, b, one = _cone_shape(poly, table, u, v, 0)
+            m = table.s_node(a, b)
+            val = child(a, m, p) + child(m, b, p)
+            if one:
+                val = min(val, fw(w[a], w[b], w[p]) + v0[(a, b)])
             v0[(u, v)] = val
         m = min(rank_of[u], rank_of[v])
         if m:

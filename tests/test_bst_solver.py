@@ -262,43 +262,39 @@ class TestReconstruction:
 
 class TestMemoStore:
     def test_rejects_unknown_backend(self):
+        # solve_bst chooses the memo (a dict or a MemoStore) from backend
         with pytest.raises(ValueError, match="unknown memo backend"):
-            MemoStore(8, backend="btree")
+            solve_bst(Polygon((1, 2, 5, 3)), TriangleWeightFn.additive(), backend="btree")
 
     def test_dense_refuses_large_n(self):
         with pytest.raises(ValueError, match="dense memo refused"):
-            MemoStore(3000, backend="dense")
-        MemoStore(3000, backend="hash")  # no cap on the dict form
-
-    def test_hash_round_trip(self):
-        store = MemoStore(8)
-        assert store.get(17) is None
-        store.put(17, 123)
-        assert store.get(17) == 123
-        assert len(store) == 1
-        with pytest.raises(SolverInvariantError, match="written twice"):
-            store.put(17, 999)
+            MemoStore(3000, ())
+        poly = Polygon(tuple(range(1, 11)))
+        solve_bst(poly, TriangleWeightFn.additive(), backend="hash", dense_cap=5)  # no cap on the dict
 
     def test_dense_round_trip(self):
         n = 6
         bk = 1 * n + 5
-        store = MemoStore(n, backend="dense", bridge_keys=(bk,))
+        store = MemoStore(n, (bk,))
         key = bk * (n + 1) + 0
-        assert store.get(key) is None
-        store.put(key, 7)
-        store.put(key + 3, 9)  # same bridge row, apex 2
-        assert (store.get(key), store.get(key + 3)) == (7, 9)
+        assert key not in store
+        store[key] = 7
+        store[key + 3] = 9  # same bridge row, apex 2
+        assert key in store and key + 1 not in store
+        assert (store[key], store[key + 3]) == (7, 9)
         assert len(store) == 2
-        assert store[key + 3] == 9
         with pytest.raises(KeyError, match="empty"):
             store[key + 1]
         with pytest.raises(SolverInvariantError, match="written twice"):
-            store.put(key, 7)
+            store[key] = 7
 
     def test_dense_rejects_non_bridge_rows(self):
         n = 6
-        store = MemoStore(n, backend="dense", bridge_keys=(1 * n + 5,))
+        store = MemoStore(n, (1 * n + 5,))
+        key = (2 * n + 4) * (n + 1)
         with pytest.raises(KeyError, match="no bridge"):
-            store.get((2 * n + 4) * (n + 1))
+            key in store
         with pytest.raises(KeyError, match="no bridge"):
-            store.put((2 * n + 4) * (n + 1), 1)
+            store[key]
+        with pytest.raises(KeyError, match="no bridge"):
+            store[key] = 1

@@ -60,7 +60,7 @@ class TestPolygon:
         assert poly.cw_next(4) == 0 and poly.cw_prev(0) == 4
         assert poly.adjacent(0, 4) and poly.adjacent(2, 3)
         assert not poly.adjacent(0, 2)
-        assert poly.is_side(4, 0)
+        assert poly.adjacent(4, 0)
         assert poly.arc_len(3, 1) == 3
         assert poly.arc_len(1, 3) == 2
         assert poly.lighter(0, 1) and not poly.lighter(3, 2)

@@ -17,6 +17,7 @@ from polytri import (
     Polygon,
     TriangleWeightFn,
     gen_random_chain,
+    solve_bst,
     solve_dp_cubic,
     solve_yao,
     triangulation_weight,
@@ -114,5 +115,11 @@ def test_optimum_fits_int64_while_a_losing_candidate_does_not():
     ),
     fname=st.sampled_from(sorted(FNS)),
 )
-def test_vector_engines_equal_reference_engines(weights, fname):
-    assert_engines_agree(Polygon(tuple(weights)), FNS[fname])
+def test_engines_equal_reference_engines(weights, fname):
+    poly, f = Polygon(tuple(weights)), FNS[fname]
+    assert_engines_agree(poly, f)
+    _, ts, _ = solve_yao(poly, f, engine="scalar")
+    oh, th, sh = solve_bst(poly, f, backend="hash")
+    od, td, sd = solve_bst(poly, f, backend="dense")
+    assert (oh, th.edges) == (od, td.edges) == (ts.weight, ts.edges)
+    assert (sh.visited_cones, sh.memo_hits) == (sd.visited_cones, sd.memo_hits)
