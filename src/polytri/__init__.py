@@ -44,7 +44,6 @@ from .core import (
     require_valid,
     triangulation_weight,
     validate_triangulation,
-    weight_rank,
 )
 from .generators import gen_heuristic_worst, gen_random, gen_random_chain, gen_staircase
 from .heuristic import HeuristicReport, error_ratio, heuristic_triangulate
@@ -126,6 +125,5 @@ __all__ = [
     "triangulation_to_parenthesization",
     "triangulation_weight",
     "validate_triangulation",
-    "weight_rank",
     "write_csv",
 ]

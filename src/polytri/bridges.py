@@ -43,15 +43,8 @@ class BridgeTable:
     def __len__(self) -> int:
         return len(self.bridges)
 
-    def has(self, u: int, v: int) -> bool:
-        return (u, v) in self.s
-
     def s_node(self, u: int, v: int) -> int:
         return self.s[(u, v)][0]
-
-    def min_rank(self, u: int, v: int) -> int:
-        rank_of = self.poly.rank_of
-        return min(rank_of[u], rank_of[v])
 
     def total_cones(self) -> int:
         """One apexless cone per bridge plus one cone per valid apex."""
@@ -151,8 +144,8 @@ def enumerate_cones(poly: Polygon, table: BridgeTable) -> list[Cone]:
     """All cones: per bridge, the apexless cone then one per apex by rank.
 
     The valid apexes of bridge (u, v) are exactly the nodes ranked strictly
-    below both endpoints, i.e. the first min_rank(u, v) entries of
-    poly.rank.
+    below both endpoints, i.e. the first min(rank_of[u], rank_of[v])
+    entries of poly.rank.
     """
     rank, rank_of = poly.rank, poly.rank_of
     out: list[Cone] = []

@@ -41,6 +41,8 @@ from .core import (
     norm_edge,
 )
 
+DENSE_CAP = 2000  # the largest n the dense memo accepts: its rows cost O(n^2) overall
+
 __all__ = [
     "Branch",
     "MemoStore",
@@ -219,15 +221,15 @@ class MemoStore:
     KeyError, which keeps the solver honest about only ever memoizing cones
     of real bridges; so does reading an empty cell. A second write raises
     SolverInvariantError. Rows cost O(n) each and O(n^2) overall, so the
-    store refuses polygons larger than dense_cap.
+    store refuses polygons larger than DENSE_CAP.
     """
 
     __slots__ = ("n1", "rows", "bridge_keys")
 
-    def __init__(self, n: int, bridge_keys: Iterable[int], dense_cap: int = 2000):
-        if n > dense_cap:
+    def __init__(self, n: int, bridge_keys: Iterable[int]):
+        if n > DENSE_CAP:
             raise ValueError(
-                f"dense memo refused for n={n} > dense_cap={dense_cap}; use the hash backend"
+                f"dense memo refused for n={n} > {DENSE_CAP}; use the hash backend"
             )
         self.n1 = n + 1
         self.rows: dict[int, list[int]] = {}
@@ -379,7 +381,6 @@ def solve_bst(
     poly: Polygon,
     f: TriangleWeightFn,
     backend: str = "hash",
-    dense_cap: int = 2000,
 ) -> tuple[int, Triangulation, SolveStats]:
     """Optimal triangulation via the memoized branching search.
 
@@ -389,7 +390,7 @@ def solve_bst(
     visited count is far below the quadratic census.
 
     backend selects the memo: "hash" is a dict, "dense" a MemoStore, which
-    refuses n > dense_cap.
+    refuses n > DENSE_CAP.
     """
     t0 = time.perf_counter_ns()
     f.ensure_monotonic()
@@ -402,7 +403,7 @@ def solve_bst(
     if backend == "hash":
         memo = {}
     elif backend == "dense":
-        memo = MemoStore(n, (u * n + v for u, v in table.bridges), dense_cap)
+        memo = MemoStore(n, (u * n + v for u, v in table.bridges))
     else:
         raise ValueError(f"unknown memo backend {backend!r}")
     s_of = {u * n + v: node for (u, v), (node, _) in table.s.items()}

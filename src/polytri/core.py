@@ -4,13 +4,17 @@ The polygon is purely combinatorial: node i sits between nodes (i - 1) mod n
 and (i + 1) mod n in clockwise order and carries a positive integer weight.
 A triangulation is a set of n - 3 pairwise non-crossing internal edges; its
 weight is the sum of a triangle weight function over the n - 2 triangles the
-edges create.
+edges create. One sweep over the nodes both validates an edge set and lists
+those triangles: ``validate_triangulation``, ``require_valid``,
+``list_triangles`` and ``triangulation_weight`` all read it, and so does the
+matrix-chain mapping through ``list_triangles``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Iterable
 
 import numpy as np
@@ -20,6 +24,7 @@ INT64_LIMIT = 2**63  # the least value int64 cannot hold
 ACCUMULATOR_MAX = 2**127  # triangulation sums are checked against this bound
 
 Edge = tuple[int, int]
+Triangle = tuple[int, int, int]  # node indices i < m < j
 
 
 class InvalidTriangulationError(ValueError):
@@ -109,12 +114,6 @@ class Polygon:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "rank_of", tuple(rank_of))
 
-    def cw_next(self, i: int) -> int:
-        return (i + 1) % self.n
-
-    def cw_prev(self, i: int) -> int:
-        return (i - 1) % self.n
-
     def adjacent(self, a: int, b: int) -> bool:
         d = (a - b) % self.n
         return d == 1 or d == self.n - 1
@@ -126,11 +125,6 @@ class Polygon:
     def lighter(self, a: int, b: int) -> bool:
         wa, wb = self.weights[a], self.weights[b]
         return (wa, a) < (wb, b)
-
-
-def weight_rank(poly: Polygon) -> list[int]:
-    """The permutation mapping rank r to the r-th lightest node index."""
-    return list(poly.rank)
 
 
 class TriangleWeightFn:
@@ -296,29 +290,36 @@ def _edge_set(poly: Polygon, edges: Iterable[Edge] | Triangulation) -> set[Edge]
     return out
 
 
-def validate_triangulation(poly: Polygon, edges: Iterable[Edge] | Triangulation) -> ValidationResult:
-    """Check that ``edges`` triangulate the polygon.
+def _sweep(
+    poly: Polygon, edges: Iterable[Edge] | Triangulation
+) -> tuple[ValidationResult, set[Edge], list[Triangle]]:
+    """Validate ``edges`` and list their triangles in one pass over the nodes.
 
-    Accepts iff there are exactly n - 3 edges, none duplicates a polygon
-    side, and no two cross, where chords (a, b) and (c, d) cross iff exactly
-    one of c, d lies strictly between a and b in circular order. Violations
-    are reported in that fixed order: count, then side, then crossing.
+    Returns (result, normalized edge set, triangles); the triangles are
+    listed only when the result is ok. Non-crossing chords nest like
+    parentheses, so a stack of open chords finds the first crossing. The
+    triangles whose lowest node is p fan out between p's consecutive
+    neighbours above p (the side to p + 1, p's chords in increasing order,
+    and the side to n - 1 when p = 0), so each comes out exactly once.
     """
     n = poly.n
     es = _edge_set(poly, edges)
     if len(es) != n - 3:
-        return ValidationResult(False, "count", f"expected {n - 3} edges, got {len(es)}")
-    for a, b in sorted(es):
-        if poly.adjacent(a, b):
-            return ValidationResult(False, "side", f"edge ({a}, {b}) duplicates a polygon side")
-    # Sweep positions once; non-crossing chords must nest like parentheses.
-    opens: list[list[int]] = [[] for _ in range(n)]
+        return ValidationResult(False, "count", f"expected {n - 3} edges, got {len(es)}"), es, []
+    sides = [e for e in es if e[1] - e[0] in (1, n - 1)]
+    if sides:
+        a, b = min(sides)
+        return ValidationResult(False, "side", f"edge ({a}, {b}) duplicates a polygon side"), es, []
+    above: list[list[int]] = [[] for _ in range(n)]
+    above[0].append(n - 1)  # the side (0, n - 1) encloses every chord
     closes = [0] * n
     for a, b in es:
-        opens[a].append(b)
+        above[a].append(b)
         closes[b] += 1
     stack: list[Edge] = []
-    for p in range(n):
+    tris: list[Triangle] = []
+    # node n - 1 only closes what is still open: nothing can cross there
+    for p in range(n - 1):
         need = closes[p]
         while need and stack and stack[-1][1] == p:
             stack.pop()
@@ -328,45 +329,52 @@ def validate_triangulation(poly: Polygon, edges: Iterable[Edge] | Triangulation)
             # two provably cross (buried opens first, top closes later)
             other = stack[-1]
             buried = next(e for e in reversed(stack) if e[1] == p)
-            return ValidationResult(False, "crossing", f"edges {buried} and {other} cross")
-        for b in sorted(opens[p], reverse=True):  # inner chords on top
-            stack.append((p, b))
-    return ValidationResult(True)
+            return ValidationResult(False, "crossing", f"edges {buried} and {other} cross"), es, []
+        ups = above[p]
+        if ups:
+            ups.sort()
+            tris += zip(repeat(p), [p + 1, *ups], ups)
+            stack += [(p, b) for b in reversed(ups)]  # inner chords on top
+    return ValidationResult(True), es, tris
+
+
+def validate_triangulation(poly: Polygon, edges: Iterable[Edge] | Triangulation) -> ValidationResult:
+    """Check that ``edges`` triangulate the polygon.
+
+    Accepts iff there are exactly n - 3 edges, none duplicates a polygon
+    side, and no two cross, where chords (a, b) and (c, d) cross iff exactly
+    one of c, d lies strictly between a and b in circular order. Violations
+    are reported in that fixed order: count, then the least side-duplicating
+    edge, then the first crossing of the node sweep.
+    """
+    return _sweep(poly, edges)[0]
+
+
+def _require(
+    poly: Polygon, edges: Iterable[Edge] | Triangulation
+) -> tuple[set[Edge], list[Triangle]]:
+    res, es, tris = _sweep(poly, edges)
+    if not res.ok:
+        raise InvalidTriangulationError(f"{res.kind}: {res.detail}")
+    return es, tris
 
 
 def require_valid(poly: Polygon, edges: Iterable[Edge] | Triangulation) -> set[Edge]:
-    res = validate_triangulation(poly, edges)
-    if not res.ok:
-        raise InvalidTriangulationError(f"{res.kind}: {res.detail}")
-    return _edge_set(poly, edges)
+    """The normalized edge set; InvalidTriangulationError unless it is valid."""
+    return _require(poly, edges)[0]
 
 
-def list_triangles(poly: Polygon, tri: Iterable[Edge] | Triangulation) -> set[tuple[int, int, int]]:
-    """The n - 2 triangles induced by the polygon sides plus internal edges."""
-    n = poly.n
-    es = require_valid(poly, tri)
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for i in range(n):
-        adj[i].add((i + 1) % n)
-        adj[(i + 1) % n].add(i)
-    for a, b in es:
-        adj[a].add(b)
-        adj[b].add(a)
-    out: set[tuple[int, int, int]] = set()
-    work = [(0, n - 1)]
-    while work:
-        i, j = work.pop()
-        if j - i < 2:
-            continue
-        mids = [m for m in adj[i] & adj[j] if i < m < j]
-        if len(mids) != 1:
-            raise SolverInvariantError(f"interval ({i}, {j}) has split candidates {mids}")
-        m = mids[0]
-        out.add((i, m, j))
-        work.append((i, m))
-        work.append((m, j))
-    if len(out) != n - 2:
-        raise SolverInvariantError(f"expected {n - 2} triangles, got {len(out)}")
+def list_triangles(poly: Polygon, tri: Iterable[Edge] | Triangulation) -> set[Triangle]:
+    """The n - 2 triangles (i, m, j), i < m < j, of a valid triangulation.
+
+    Read off the validating sweep (``validate_triangulation``'s pass) in
+    O(n log n) for the per-node chord sorts. Raises InvalidTriangulationError
+    for an invalid edge set, and SolverInvariantError unless the sweep
+    listed exactly n - 2 distinct triangles.
+    """
+    out = set(_require(poly, tri)[1])
+    if len(out) != poly.n - 2:
+        raise SolverInvariantError(f"expected {poly.n - 2} triangles, got {len(out)}")
     return out
 
 

@@ -11,7 +11,7 @@ equals the minimum number of scalar multiplications.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, TypeVar
 
 from .core import (
     ACCUMULATOR_MAX,
@@ -20,6 +20,8 @@ from .core import (
     Triangulation,
     list_triangles,
 )
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -53,6 +55,31 @@ def chain_to_polygon(chain: ChainDims) -> Polygon | None:
     return Polygon(chain.dims)
 
 
+def _fold(
+    chain: ChainDims,
+    tri: Iterable[Edge] | Triangulation,
+    leaf: Callable[[int], T],
+    join: Callable[[int, int, int, T, T], T],
+) -> T:
+    """Fold the parenthesization encoded by ``tri`` bottom-up.
+
+    Matrix Aj is ``leaf(j)``; the product over chord (i, j), split at m by
+    the triangle {i, m, j}, is ``join(i, m, j, left, right)`` of the
+    products over (i, m) and (m, j). Triangles are taken in order of
+    increasing span, so both parts are folded before they are joined. A
+    single matrix has no polygon and folds to ``leaf(1)``.
+    """
+    if chain.n_matrices == 1:
+        return leaf(1)
+    poly = chain_to_polygon(chain)
+    done: dict[Edge, T] = {}
+    for i, m, j in sorted(list_triangles(poly, tri), key=lambda t: t[2] - t[0]):
+        left = done.pop((i, m)) if m - i > 1 else leaf(m)
+        right = done.pop((m, j)) if j - m > 1 else leaf(j)
+        done[(i, j)] = join(i, m, j, left, right)
+    return done[(0, poly.n - 1)]
+
+
 def triangulation_to_parenthesization(
     chain: ChainDims, tri: Iterable[Edge] | Triangulation
 ) -> str:
@@ -61,56 +88,20 @@ def triangulation_to_parenthesization(
     The triangle {i, m, j} on chord (i, j) becomes "(L R)" where L covers
     matrices i+1..m and R covers m+1..j.
     """
-    if chain.n_matrices == 1:
-        return "A1"
-    poly = chain_to_polygon(chain)
-    splits = {(i, j): m for i, m, j in list_triangles(poly, tri)}
-    n = poly.n
-    parts: dict[Edge, str] = {}
-    work: list[tuple[int, int, bool]] = [(0, n - 1, False)]
-    while work:
-        i, j, expanded = work.pop()
-        if j - i == 1:
-            parts[(i, j)] = f"A{j}"
-        elif expanded:
-            m = splits[(i, j)]
-            parts[(i, j)] = f"({parts[(i, m)]} {parts[(m, j)]})"
-        else:
-            m = splits[(i, j)]
-            work.append((i, j, True))
-            work.append((i, m, False))
-            work.append((m, j, False))
-    return parts[(0, n - 1)]
+    return _fold(chain, tri, lambda j: f"A{j}", lambda i, m, j, left, right: f"({left} {right})")
 
 
 def parenthesization_cost(chain: ChainDims, tri: Iterable[Edge] | Triangulation) -> int:
     """Scalar multiplication count of the encoded parenthesization.
 
     Computed by the chain recurrence cost(i, j) = cost(i, m) + cost(m, j)
-    + pi * pm * pj, a deliberately separate route from summing triangle
-    weights over the polygon.
+    + pi * pm * pj, folded over the chord tree, a deliberately separate
+    route from summing triangle weights over the polygon.
     """
-    if chain.n_matrices == 1:
-        return 0
-    poly = chain_to_polygon(chain)
-    splits = {(i, j): m for i, m, j in list_triangles(poly, tri)}
     p = chain.dims
-    n = poly.n
-    cost: dict[Edge, int] = {}
-    work: list[tuple[int, int, bool]] = [(0, n - 1, False)]
-    while work:
-        i, j, expanded = work.pop()
-        if j - i == 1:
-            cost[(i, j)] = 0
-        elif expanded:
-            m = splits[(i, j)]
-            cost[(i, j)] = cost[(i, m)] + cost[(m, j)] + p[i] * p[m] * p[j]
-        else:
-            m = splits[(i, j)]
-            work.append((i, j, True))
-            work.append((i, m, False))
-            work.append((m, j, False))
-    total = cost[(0, n - 1)]
+    total = _fold(
+        chain, tri, lambda j: 0, lambda i, m, j, left, right: left + right + p[i] * p[m] * p[j]
+    )
     if total >= ACCUMULATOR_MAX:
         raise OverflowError("parenthesization cost exceeds the 128-bit accumulator range")
     return total

@@ -157,6 +157,20 @@ def connected_in(poly: Polygon, edges, a: int, b: int) -> bool:
     return norm_edge(a, b) in edges
 
 
+def triangles_by_definition(poly: Polygon, edges) -> set[tuple[int, int, int]]:
+    """Every i < m < j whose three pairs are all polygon sides or internal
+    edges, by a cubic scan over node triples."""
+    n = poly.n
+    es = {norm_edge(a, b) for a, b in edges}
+    return {
+        (i, m, j)
+        for i in range(n)
+        for m in range(i + 1, n)
+        for j in range(m + 1, n)
+        if all(connected_in(poly, es, a, b) for a, b in ((i, m), (m, j), (i, j)))
+    }
+
+
 def random_polygon(rng: random.Random, n_lo: int = 3, n_hi: int = 12, w_hi: int = 50) -> Polygon:
     n = rng.randint(n_lo, n_hi)
     return Polygon(tuple(rng.randint(1, w_hi) for _ in range(n)))

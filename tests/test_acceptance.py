@@ -146,7 +146,7 @@ def test_criterion_3_theorem_invariants(weight_fns):
     while checked < 200:
         poly = distinct_polygon(rng, rng.randint(4, 8))
         v1, v2, v3, v4 = poly.rank[:4]
-        if {poly.cw_next(v1), poly.cw_prev(v1)} != {v2, v3}:
+        if {(v1 + 1) % poly.n, (v1 - 1) % poly.n} != {v2, v3}:
             continue
         checked += 1
         e23, e14 = tuple(sorted((v2, v3))), tuple(sorted((v1, v4)))
@@ -161,7 +161,7 @@ def test_criterion_3_theorem_invariants(weight_fns):
     while checked < 200:
         poly = distinct_polygon(rng, rng.randint(4, 8))
         v1, v2, v3, v4 = poly.rank[:4]
-        if {poly.cw_next(v1), poly.cw_prev(v1)} != {v2, v3}:
+        if {(v1 + 1) % poly.n, (v1 - 1) % poly.n} != {v2, v3}:
             continue
         checked += 1
         w = poly.weights
@@ -184,7 +184,7 @@ def test_criterion_3_theorem_invariants(weight_fns):
         poly = distinct_polygon(rng, rng.randint(4, 11))
         _, winners = solve_bruteforce(poly, fa)
         for m in range(poly.n):
-            p, q = poly.cw_prev(m), poly.cw_next(m)
+            p, q = (m - 1) % poly.n, (m + 1) % poly.n
             if poly.weights[m] > max(poly.weights[p], poly.weights[q]):
                 e = tuple(sorted((p, q)))
                 if all(e not in T for T in winners):

@@ -227,9 +227,9 @@ class TestSolveBst:
             assert stats.total_cones == (2 * half_n - 2) * (2 * half_n - 1) // 2
 
     def test_dense_cap(self):
-        poly = Polygon(tuple(range(1, 11)))
+        poly = Polygon(tuple(range(1, 2002)))  # n = 2001, one past the cap
         with pytest.raises(ValueError, match="dense memo refused"):
-            solve_bst(poly, TriangleWeightFn.additive(), backend="dense", dense_cap=5)
+            solve_bst(poly, TriangleWeightFn.additive(), backend="dense")
 
     def test_accumulator_guard(self):
         poly = Polygon((2**63 - 1,) * 5)
@@ -269,8 +269,8 @@ class TestMemoStore:
     def test_dense_refuses_large_n(self):
         with pytest.raises(ValueError, match="dense memo refused"):
             MemoStore(3000, ())
-        poly = Polygon(tuple(range(1, 11)))
-        solve_bst(poly, TriangleWeightFn.additive(), backend="hash", dense_cap=5)  # no cap on the dict
+        poly = Polygon(tuple(range(1, 2002)))  # n = 2001, one past the cap
+        solve_bst(poly, TriangleWeightFn.additive(), backend="hash")  # no cap on the dict
 
     def test_dense_round_trip(self):
         n = 6

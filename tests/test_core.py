@@ -1,6 +1,7 @@
 """Polygon, weight functions, validation, file format."""
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polytri import (
+    ChainDims,
     InvalidTriangulationError,
     MonotonicityError,
     Polygon,
@@ -17,6 +19,7 @@ from polytri import (
     format_polygon,
     list_triangles,
     norm_edge,
+    parenthesization_cost,
     parse_polygon,
     require_valid,
     solve_bst,
@@ -24,12 +27,11 @@ from polytri import (
     solve_yao,
     triangulation_weight,
     validate_triangulation,
-    weight_rank,
 )
 from polytri import core
 from polytri.core import WEIGHT_MAX, check_accumulator_bound, int64_safe
 
-from conftest import any_crossing
+from conftest import any_crossing, chords_cross, triangles_by_definition
 
 QUAD = Polygon((1, 2, 5, 3))
 
@@ -53,11 +55,9 @@ class TestPolygon:
         poly = Polygon((5, 1, 5, 2))
         assert poly.rank == (1, 3, 0, 2)  # ties: node 0 before node 2
         assert poly.rank_of == (2, 0, 3, 1)
-        assert weight_rank(poly) == [1, 3, 0, 2]
 
     def test_neighbors_and_arcs(self):
         poly = Polygon((1, 2, 3, 4, 5))
-        assert poly.cw_next(4) == 0 and poly.cw_prev(0) == 4
         assert poly.adjacent(0, 4) and poly.adjacent(2, 3)
         assert not poly.adjacent(0, 2)
         assert poly.adjacent(4, 0)
@@ -200,17 +200,26 @@ class TestValidation:
     @settings(deadline=None, max_examples=200)
     @given(st.data())
     def test_crossing_sweep_matches_pairwise_oracle(self, data):
-        # any n-3 distinct chords form a triangulation iff pairwise non-crossing
+        # any n-3 distinct chords form a triangulation iff pairwise non-crossing;
+        # with sides among the pairs, the least side is reported before any crossing
         n = data.draw(st.integers(min_value=4, max_value=12))
         poly = Polygon((1,) * n)
-        chords = [
-            (a, b) for a in range(n) for b in range(a + 2, n) if (a, b) != (0, n - 1)
+        with_sides = data.draw(st.booleans())
+        pairs = [
+            (a, b) for a in range(n) for b in range(a + 1, n) if with_sides or not poly.adjacent(a, b)
         ]
-        edges = data.draw(st.permutations(chords)).copy()[: n - 3]
+        edges = data.draw(st.permutations(pairs)).copy()[: n - 3]
         res = validate_triangulation(poly, set(edges))
+        sides = sorted(e for e in edges if poly.adjacent(*e))
+        if sides:
+            assert (res.ok, res.kind) == (False, "side")
+            assert res.detail == f"edge {sides[0]} duplicates a polygon side"
+            return
         assert res.ok == (not any_crossing(edges))
         if not res.ok:
             assert res.kind == "crossing"
+            e1, e2 = (tuple(map(int, pair)) for pair in re.findall(r"\((\d+), (\d+)\)", res.detail))
+            assert {e1, e2} <= set(edges) and chords_cross(e1, e2)
 
 
 class TestListTriangles:
@@ -244,11 +253,37 @@ class TestListTriangles:
         with pytest.raises(InvalidTriangulationError):
             list_triangles(QUAD, {(0, 2), (1, 3)})
 
-    def test_unsplittable_interval_raises_invariant_error(self, monkeypatch):
-        # reachable only if validation passed an edge set it should not have
-        monkeypatch.setattr(core, "require_valid", lambda poly, tri: set())
-        with pytest.raises(SolverInvariantError, match="split candidates"):
-            list_triangles(Polygon((1,) * 5), set())
+    def test_wrong_triangle_count_raises_invariant_error(self, monkeypatch):
+        # reachable only if the sweep's fans lost a triangle
+        sweep = core._sweep
+
+        def lossy(poly, edges):
+            res, es, tris = sweep(poly, edges)
+            return res, es, tris[1:]
+
+        monkeypatch.setattr(core, "_sweep", lossy)
+        with pytest.raises(SolverInvariantError, match="expected 3 triangles, got 2"):
+            list_triangles(Polygon((1,) * 5), {(0, 2), (0, 3)})
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.data())
+    def test_triangles_match_definition(self, data):
+        # a random ear-cut triangulation; the chain reading of the same
+        # polygon must cost what the multiplicative triangle sum says
+        n = data.draw(st.integers(min_value=3, max_value=40))
+        weights = data.draw(st.lists(st.integers(1, 10**4), min_size=n, max_size=n))
+        poly = Polygon(tuple(weights))
+        ring, edges = list(range(n)), set()
+        while len(ring) > 3:
+            i = data.draw(st.integers(0, len(ring) - 1))
+            a, c = ring[i - 1], ring[(i + 1) % len(ring)]
+            if not poly.adjacent(a, c):
+                edges.add(norm_edge(a, c))
+            ring.pop(i)
+        assert list_triangles(poly, edges) == triangles_by_definition(poly, edges)
+        assert parenthesization_cost(ChainDims(poly.weights), edges) == triangulation_weight(
+            poly, edges, TriangleWeightFn.multiplicative()
+        )
 
 
 class TestPolygonFormat:

@@ -9,6 +9,7 @@ dp3 "python" and Yao "scalar", which use Python ints throughout.
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,34 @@ from polytri import (
     triangulation_weight,
 )
 from polytri.core import INT64_LIMIT, int64_safe
+
+# symmetric pieces, each monotone in every argument on positive integers;
+# the first four increase strictly, so any sum holding one of them does too
+PIECES = {
+    "e1": (lambda x, y, z: x + y + z,) * 2,
+    "e2": (lambda x, y, z: x * y + y * z + z * x,) * 2,
+    "e3": (lambda x, y, z: x * y * z,) * 2,
+    "p2": (lambda x, y, z: x * x + y * y + z * z,) * 2,
+    "max": (lambda x, y, z: max(x, y, z), lambda x, y, z: np.maximum(np.maximum(x, y), z)),
+    "min": (lambda x, y, z: min(x, y, z), lambda x, y, z: np.minimum(np.minimum(x, y), z)),
+}
+STRICT = ["e1", "e2", "e3", "p2"]
+
+
+def piece_sum(coeffs: dict[str, int]) -> TriangleWeightFn:
+    """The custom weight fn sum(c * piece) with ``vec`` built from the same pieces."""
+    terms = sorted(coeffs.items())
+    return TriangleWeightFn.custom(
+        lambda x, y, z: sum(c * PIECES[k][0](x, y, z) for k, c in terms),
+        vec=lambda x, y, z: sum(c * PIECES[k][1](x, y, z) for k, c in terms),
+    )
+
+
+random_piece_sums = st.builds(
+    lambda strict, loose: piece_sum({**loose, **strict}),
+    st.dictionaries(st.sampled_from(STRICT), st.integers(1, 5), min_size=1),
+    st.dictionaries(st.sampled_from(sorted(PIECES)), st.integers(1, 5)),
+)
 
 FNS = {
     "mult": TriangleWeightFn.multiplicative(),
@@ -113,10 +142,11 @@ def test_optimum_fits_int64_while_a_losing_candidate_does_not():
     weights=st.lists(
         st.one_of(st.integers(1, 64), st.integers(2**18, 2**22)), min_size=3, max_size=40
     ),
-    fname=st.sampled_from(sorted(FNS)),
+    f=st.one_of(st.sampled_from([FNS[name] for name in sorted(FNS)]), random_piece_sums),
 )
-def test_engines_equal_reference_engines(weights, fname):
-    poly, f = Polygon(tuple(weights)), FNS[fname]
+def test_engines_equal_reference_engines(weights, f):
+    poly = Polygon(tuple(weights))
+    f.ensure_monotonic()
     assert_engines_agree(poly, f)
     _, ts, _ = solve_yao(poly, f, engine="scalar")
     oh, th, sh = solve_bst(poly, f, backend="hash")
