@@ -6,15 +6,24 @@ built so that adjacent nodes are adjacent in weight rank, which forces the
 search to keep discovering new cones: visits grow as 2h^2 - 5h + 4 on
 2h nodes, the same Theta(n^2) as the census (2h-2)(2h-1)/2 that the
 bottom-up sweep always pays.
+
+Each row also names the engine solve_bst ran and its time. From
+SWEEP_MIN_N nodes on it is the numpy sweep, which finds the same cones
+level by level, since the staircase's levels hold about h cones each;
+below that the inline loop, which is faster there.
 """
 
 from polytri import TriangleWeightFn, gen_staircase, solve_bst, solve_yao
+from polytri.bst_solver import SWEEP_MIN_N
 
 
 def main() -> None:
     f = TriangleWeightFn.additive()
-    print(f"{'2h':>6} {'weights':<28} {'bst visits':>10} {'2h^2-5h+4':>10} {'census':>8}")
-    for half_n in (3, 4, 6, 10, 30, 100):
+    print(
+        f"{'2h':>6} {'weights':<28} {'bst visits':>10} {'2h^2-5h+4':>10} {'census':>8}"
+        f" {'engine':>7} {'ms':>8}"
+    )
+    for half_n in (3, 4, 6, 10, 30, 100, 400, 1000):
         poly = gen_staircase(half_n)
         _, _, st_b = solve_bst(poly, f)
         _, _, st_y = solve_yao(poly, f)
@@ -23,8 +32,10 @@ def main() -> None:
         print(
             f"{poly.n:>6} {label:<28} {st_b.visited_cones:>10} "
             f"{2 * half_n**2 - 5 * half_n + 4:>10} {st_b.total_cones:>8}"
+            f" {st_b.engine:>7} {st_b.elapsed_ns / 1e6:>8.1f}"
         )
     print("\nvisits == 2h^2 - 5h + 4 at every size; no shortcut survives this family")
+    print(f"on this family solve_bst takes the sweep from n = {SWEEP_MIN_N} on, the loop below")
 
 
 if __name__ == "__main__":

@@ -12,36 +12,53 @@ of distinct cones. Branches follow two shapes:
 
 ``expand_cone`` and ``expand_root`` are the public, self-describing form of
 the rules. Every cone expansion also has one compact shape, (p, a, b),
-stated once in ``_cone_shape``. ``solve_bst`` runs that shape inline over
-a flattened work stack with packed integer keys and one memo interface: a
-dict (backend "hash") or the write-once ``MemoStore`` (backend "dense").
-``reconstruct_triangulation`` evaluates the root and walks one winning edge
-set over the solved values by packed key, for this solver and for
-yao_solver's sweep; it calls ``_cone_shape``, as does yao_solver's vector
-sweep. A stored value that no branch reproduces raises
+stated once in ``_cone_shape``. ``solve_bst`` runs that shape in one of two
+engines. The loop goes over a flattened work stack with packed integer keys
+and one memo interface: a dict (backend "hash") or the write-once
+``MemoStore`` (backend "dense"). The sweep lists the same visited cones
+level by level in numpy and values them bottom-up, since which cones the
+search visits depends on the polygon alone. The sweep pays a few numpy
+calls per level of the cone graph, so hash solves take it only from
+``SWEEP_MIN_N`` nodes on, when the weight function has a ``vec`` and the
+sweep expects at least ``SWEEP_MIN_WIDTH`` cones per level (``_width``
+estimates that from the bridge nesting before any level is run); the
+loop runs everything else, including sorted or tie-heavy polygons, whose
+cone graph is n levels deep with a few cones on each. ``reconstruct_triangulation`` evaluates the root and
+walks one winning edge set over the solved values by packed key, for both
+engines and for yao_solver's sweep; it calls ``_cone_shape``, as does
+yao_solver's vector sweep. A stored value that no branch reproduces raises
 SolverInvariantError. The tests cross-check the packed forms against the
-public rules: cone values against a recursion over ``expand_cone``, and
-witnesses against a re-expansion of winning cones.
+public rules: cone values against a recursion over ``expand_cone``,
+witnesses against a re-expansion of winning cones, and the sweep against
+the loop cone by cone.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, NamedTuple
+
+import numpy as np
 
 from .bridges import BridgeTable, Cone, find_bridges_linear
 from .core import (
+    INT64_LIMIT,
     Edge,
     Polygon,
     SolverInvariantError,
     TriangleWeightFn,
     Triangulation,
     check_accumulator_bound,
+    int64_watch_bound,
     norm_edge,
 )
 
 DENSE_CAP = 2000  # the largest n the dense memo accepts: its rows cost O(n^2) overall
+SWEEP_MIN_N = 800  # from here on, hash solves with a vec may take the sweep (measured crossover)
+SWEEP_MIN_WIDTH = 200  # the cones per level from which the sweep beats the loop (measured)
 
 __all__ = [
     "Branch",
@@ -79,7 +96,9 @@ class SolveStats:
     counted like any other; apexed cones of one triangle are never stored
     or counted, as they fold into their parent's constants. total_cones is
     the full census from the bridge table, so visited_cones <= total_cones
-    always holds.
+    always holds. backend names the memo ("hash" or "dense"; yao_solver:
+    its engine), engine the search that ran: "loop" or "sweep" for this
+    solver, "scalar" or "vector" for yao_solver.
     """
 
     visited_cones: int
@@ -87,6 +106,7 @@ class SolveStats:
     total_cones: int
     elapsed_ns: int
     backend: str
+    engine: str
 
 
 def is_base_cone(poly: Polygon, cone: Cone) -> bool:
@@ -377,35 +397,299 @@ def reconstruct_triangulation(
     return opt, out
 
 
-def solve_bst(
-    poly: Polygon,
-    f: TriangleWeightFn,
-    backend: str = "hash",
-) -> tuple[int, Triangulation, SolveStats]:
-    """Optimal triangulation via the memoized branching search.
+def _levels(child: np.ndarray) -> np.ndarray:
+    """Height of each node of a DAG given as an (N, 3) child table, -1 for none.
 
-    Returns (optimal weight, a witness triangulation, stats). The search
-    visits each cone at most once; on instances whose expansions funnel into
-    few distinct cones (staircase polygons being the canonical family) the
-    visited count is far below the quadratic census.
-
-    backend selects the memo: "hash" is a dict, "dense" a MemoStore, which
-    refuses n > DENSE_CAP.
+    The height is the longest path down to a node without children; peeled
+    off in layers from the leaves, each step decrementing the parents'
+    count of children left.
     """
-    t0 = time.perf_counter_ns()
-    f.ensure_monotonic()
-    check_accumulator_bound(poly, f)
+    nodes = len(child)
+    has = child >= 0
+    par = np.repeat(np.arange(nodes), 3)[has.ravel()]
+    chi = child[has]
+    left = np.bincount(par, minlength=nodes)
+    by_child = par[np.argsort(chi)]
+    start = np.concatenate(([0], np.cumsum(np.bincount(chi, minlength=nodes))))
+    height = np.zeros(nodes, np.int64)
+    mark = np.empty(nodes, np.int64)
+    front = np.flatnonzero(left == 0)
+    level = 0
+    while True:
+        height[front] = level
+        lo, lens = start[front], start[front + 1] - start[front]
+        total = int(lens.sum())
+        if not total:
+            return height
+        up = by_child[np.repeat(lo - np.cumsum(lens) + lens, lens) + np.arange(total)]
+        np.subtract.at(left, up, 1)
+        up = up[left[up] == 0]
+        # a parent of several front nodes is listed once per edge: keep one
+        seq = np.arange(len(up))
+        mark[up] = seq
+        front = up[mark[up] == seq]
+        level += 1
+
+
+def _visit(
+    child: np.ndarray, ch_key: np.ndarray, roots: np.ndarray, n1: int
+) -> tuple[list[tuple[int, int]], list[np.ndarray], np.ndarray, np.ndarray, int]:
+    """Pass 1 of the sweep, down by height: the cells each node holds.
+
+    child[node, j] is the node of child j (-1: none), ch_key[node, j] its
+    packed key, less the apex where the child inherits it (j = 1, 2 of a
+    row node); roots are the packed keys of the root's non-base cones.
+    Cells are numbered level by level from the top, in key order within a
+    level, so each node's cells are one run. Returns, per level, the run of
+    cells it holds and its child table (the cell of child j of its cell i
+    at kids[j * c + i], c cells, -1 for none), every cell's key, each
+    node's run as (first, end) rows, and the number of pushes.
+    """
+    nodes = len(child)
+    nb = nodes // 2
+    height = _levels(child)
+    top = int(height.max())
+    # levels as uint16 where they fit, so the stable sorts below are radix sorts
+    ltype = np.uint16 if top < 2**16 - 1 else np.int64
+    none = np.iinfo(ltype).max
+    ch_level = np.where(child >= 0, height[child], none).astype(ltype).T.copy()
+    ch_key = ch_key.T.copy()
+    # requests per level: keys, and where each one's cell goes
+    pending: list[list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = [[] for _ in range(top + 1)]
+    nowhere = np.zeros(len(roots), np.int64)  # the root's cones' cells, unused
+    for j, node in enumerate(roots // n1 + nb * (roots % n1 > 0)):
+        pending[height[node]].append((roots[j : j + 1], np.array([j]), nowhere))
+    spans = [(0, 0)] * (top + 1)
+    kids = [nowhere[:0]] * (top + 1)
+    cells: list[np.ndarray] = []
+    runs = np.zeros((nodes, 2), np.int64)
+    ncells = 0
+    pushes = len(roots)
+    for level in range(top, -1, -1):
+        todo = pending[level]
+        pending[level] = []
+        if not todo:
+            spans[level] = (ncells, ncells)
+            continue
+        keys = np.concatenate([req[0] for req in todo])
+        o = keys.argsort(kind="stable")
+        keys = keys[o]
+        new = np.empty(len(keys), bool)
+        new[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
+        uq = keys[new]
+        cnt = len(uq)
+        base, ncells = ncells, ncells + cnt
+        spans[level] = (base, ncells)
+        cells.append(uq)
+        at = np.empty(len(keys), np.int64)
+        at[o] = np.cumsum(new) + (base - 1)
+        i = 0
+        for _, slot, dst in todo:
+            dst[slot] = at[i : i + len(slot)]
+            i += len(slot)
+        b, k = np.divmod(uq, n1)
+        row = np.where(k > 0, b + nb, b)
+        again = b[1:] == b[:-1]
+        head = np.flatnonzero(np.concatenate(([True], ~again)))
+        runs[row[head], 0] = base + head
+        runs[row[head], 1] = base + np.append(head[1:], cnt)
+        lev = np.concatenate([np.take(col, row) for col in ch_level])
+        # every cell of Z(B) pushes A(B); its first cell's push alone requests it
+        lev[1:cnt][again] = none
+        slots = lev.argsort(kind="stable")[: 3 * cnt - np.count_nonzero(lev == none)]
+        pushes += len(slots) + int(again.sum())
+        lev = lev[slots]
+        out_keys = np.concatenate(
+            (np.take(ch_key[0], row), np.take(ch_key[1], row) + k, np.take(ch_key[2], row) + k)
+        )[slots]
+        dst = kids[level] = np.full(3 * cnt, -1, np.int32)
+        cuts = [0, *(np.flatnonzero(lev[1:] != lev[:-1]) + 1).tolist(), len(lev)]
+        for lo, hi in zip(cuts, cuts[1:]):
+            if lo < hi:
+                pending[lev[lo]].append((out_keys[lo:hi], slots[lo:hi], dst))
+    return spans, kids, np.concatenate([roots[:0], *cells]), runs, pushes
+
+
+def _width(
+    n: int, rank: np.ndarray, U: np.ndarray, V: np.ndarray, child: np.ndarray,
+    ch_key: np.ndarray, roots: np.ndarray,
+) -> float:
+    """The cones per level the sweep can expect: an estimate from _sweep's tables.
+
+    Cut open at the lightest node, the bridges' arcs nest, and the rows
+    below Z(B) are those of the bridges nested in B; sorted by (start,
+    -end) each B's nest is one run. An apex that an A node, or the root,
+    sends into Z(C) reaches every row of C's nest once, so the apexed cones
+    are the nest sizes of the sends not nested in a send of the same apex
+    (counting every A node as visited). The levels number about the depth
+    of the nesting.
+    """
+    nb = len(U)
+    lo = (U - rank[0]) % n
+    hi = np.where(V == rank[0], n, (V - rank[0]) % n)
+    order = np.lexsort((-hi, lo))
+    at = np.empty(nb, np.int64)
+    at[order] = np.arange(nb)
+    end = np.searchsorted(lo[order], hi)  # B's nest is at[B] .. end[B] - 1
+    depth = np.cumsum(np.bincount(at + 1, minlength=nb + 1) - np.bincount(end, minlength=nb + 1))
+    sent = child[:nb, 1:] >= nb
+    keys = np.concatenate((ch_key[:nb, 1:][sent], roots[roots % (n + 1) > 0]))
+    row, apex = np.divmod(keys, n + 1)
+    first, last = at[row], end[row]
+    o = np.lexsort((first, apex))
+    first, last, apex = first[o], last[o], apex[o]
+    # a send is nested in an earlier send of its apex when that one's nest reaches past it
+    reach = np.maximum.accumulate(np.concatenate(([-1], (apex * (nb + 1) + last)[:-1])))
+    top = reach <= apex * (nb + 1) + first
+    return (nb + int((last - first)[top].sum())) / (int(depth.max()) + 1)
+
+
+def _sweep(
+    poly: Polygon, table: BridgeTable, f: TriangleWeightFn
+) -> tuple[int, int, Callable[[int], int]] | None:
+    """The search's visited cones, valued level by level in numpy.
+
+    Returns (visited_cones, memo_hits, get) as the inline loop would, with
+    get(key) reading the value of a visited cone by the loop's packed key;
+    or None, having valued nothing, when _width expects fewer than
+    SWEEP_MIN_WIDTH cones per level, too few to pay for the levels' numpy
+    calls (sorted or tie-heavy weights nest n deep with a few cones each).
+
+    Every cone expansion is _cone_shape's, so the cones fall into two nodes
+    per bridge B: A(B), its apexless cone, and Z(B), its row of apexed
+    cones. Z(B) expands into A(B), Z(u, S) and Z(S, v) with the same apex;
+    A(B) into the apexless cone (a, b) when ``one`` is set, and into its
+    (a, m) and (m, b) children. The search never prunes, so which cones it
+    visits depends on the polygon alone: _visit lists them top-down by node
+    height as packed keys bid * (n + 1) + k, k = apex rank + 1 or 0, one
+    sort per level. The values then go bottom-up, a few whole-level
+    expressions per level. They are int64 while the largest value so far
+    proves the next level's sums fit, and object (exact ints) from the first
+    level where they may not, as in yao_solver.
+    """
+    n, w, n1 = poly.n, poly.weights, poly.n + 1
+    fvec = f.vec
+    nb = len(table.bridges)
+    ends = np.fromiter(chain.from_iterable(table.bridges), np.int64, 2 * nb).reshape(nb, 2)
+    U, V = ends[:, 0], ends[:, 1]
+    # find_bridges_linear fills ``s`` in bridge order
+    S = np.fromiter((node for node, _ in table.s.values()), np.int64, nb)
+    rank = np.fromiter(poly.rank, np.int64, n)
+    R = np.empty(n, np.int64)
+    R[rank] = np.arange(n)
+    packed = U * n + V
+    order = np.argsort(packed)
+    sorted_packed = packed[order]
+
+    def bid(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Bridge ids of the pairs (x, y); meaningless where (x, y) is no bridge."""
+        return order[np.minimum(np.searchsorted(sorted_packed, x * n + y), nb - 1)]
+
+    # A(B) in _cone_shape's (p, a, b) form, m = S(a, b)
+    lu = R[U] < R[V]
+    X = np.where(lu, (U + 1) % n, (V - 1) % n)
+    leaf = (V - U) % n == 2
+    one = (X == S) & ~leaf
+    P = np.where(lu, U, V)
+    A = np.where(lu & one, X, U)
+    B = np.where(~lu & one, X, V)
+    AB = np.where(one, bid(A, B), np.arange(nb))
+    M = S[AB]
+
+    # the nodes A(B) = B and Z(B) = nb + B: their children and packed keys
+    child = np.full((2 * nb, 3), -1, np.int64)
+    ch_key = np.zeros((2 * nb, 3), np.int64)
+    rows = np.arange(nb)
+    zrows = nb + rows
+    child[rows, 0] = np.where(one, AB, -1)
+    ch_key[rows, 0] = AB * n1
+    for j, (x, y, ends_at_p) in enumerate(((A, M, P == A), (M, B, P == B)), 1):
+        c = bid(x, y)
+        apexed = ~ends_at_p & ((y - x) % n > 1)
+        child[rows, j] = np.where(leaf | ~(ends_at_p | apexed), -1, np.where(apexed, nb + c, c))
+        ch_key[rows, j] = c * n1 + np.where(apexed, R[P] + 1, 0)
+    child[zrows, 0] = rows
+    ch_key[zrows, 0] = rows * n1
+    for j, (x, y) in enumerate(((U, S), (S, V)), 1):
+        c = bid(x, y)
+        child[zrows, j] = np.where((y - x) % n > 1, nb + c, -1)
+        ch_key[zrows, j] = c * n1
+    root = [(u, v, k) for u, v, k in _root_cones(poly)[1] if (v - u) % n > (1 if k else 2)]
+    ru, rv, rk = np.array(root, np.int64).reshape(-1, 3).T
+    roots = bid(ru, rv) * n1 + np.where(rk > 0, R[rk - 1] + 1, 0)
+    if _width(n, rank, U, V, child, ch_key, roots) < SWEEP_MIN_WIDTH:
+        return None
+    spans, kids, keys, runs, pushes = _visit(child, ch_key, roots, n1)
+    ncells = len(keys)
+
+    # per-bridge weights and constants: A(B)'s triangle and base children
+    tmax = int64_watch_bound(poly, f)
+    obj = tmax is not None and 2 * tmax >= INT64_LIMIT
+    if obj:
+        tmax = None  # object from the start: nothing left to watch
+    W = np.array(w, dtype=object if obj else np.int64)
+    WR = np.concatenate((W[:1], W[rank]))  # WR[k] = weight of rank k - 1
+    WU, WV, WS = W[U], W[V], W[S]
+    C1 = np.where(one, fvec(W[A], W[B], W[P]), 0)
+    C2 = np.where(leaf, fvec(WU, W[(U + 1) % n], WV), 0)
+    for j, (x, y) in enumerate(((A, M), (M, B)), 1):
+        C2 = C2 + np.where(~leaf & (child[rows, j] < 0), fvec(W[x], W[y], W[P]), 0)
+    # Z(B)'s children (u, S) and (S, v) that are single triangles
+    ZL = (child[zrows, 1] < 0).astype(np.int64)
+    ZR = (child[zrows, 2] < 0).astype(np.int64)
+    a_cell = runs[:nb, 0]
+
+    # pass 2, up by height
+    value = np.zeros(ncells + 1, dtype=W.dtype)  # the last cell, 0, stands for an absent child
+    peak = 0
+    for level, (lo, hi) in enumerate(spans):
+        if lo == hi:
+            continue
+        if tmax is not None and 2 * (peak + tmax) >= INT64_LIMIT:
+            value, WR, WU, WV, WS, C1, C2 = (
+                a.astype(object) for a in (value, WR, WU, WV, WS, C1, C2)
+            )
+            tmax = None
+        b, k = np.divmod(keys[lo:hi], n1)
+        c = hi - lo
+        kid = kids[level]
+        wu, wv, ws, wz = WU[b], WV[b], WS[b], WR[k]
+        z = k > 0
+        c1 = np.where(z, fvec(wu, wv, wz), C1[b])
+        c2 = np.where(z, fvec(wu, ws, wz) * ZL[b] + fvec(ws, wv, wz) * ZR[b], C2[b])
+        val = value[kid[c : 2 * c]] + value[kid[2 * c :]] + c2
+        kid0 = np.where(z, a_cell[b], kid[:c])  # every cell of Z(B) reads A(B)
+        val = np.where(z | one[b], np.minimum(val, value[kid0] + c1), val)
+        value[lo:hi] = val
+        if tmax is not None:
+            peak = max(peak, int(val.max()))
+
+    bid_of = dict(zip(packed.tolist(), range(nb)))
+    key_view = memoryview(keys)
+    rank_of = poly.rank_of
+
+    def get(key: int) -> int:
+        bk, k = divmod(key, n1)
+        b = bid_of[bk]
+        node, want = (nb + b, b * n1 + rank_of[k - 1] + 1) if k else (b, b * n1)
+        i = bisect_left(key_view, want, runs.item(node, 0), runs.item(node, 1))
+        if i == len(key_view) or key_view[i] != want:
+            raise KeyError(f"cone {key} was not visited")
+        return value.item(i)
+
+    return ncells, pushes - ncells, get
+
+
+def _search(
+    poly: Polygon, table: BridgeTable, f: TriangleWeightFn, memo: dict[int, int] | MemoStore
+) -> tuple[int, int]:
+    """The search as one inline loop over a work stack; returns (visited, hits).
+
+    Fills ``memo`` with the value of every visited cone by packed key.
+    """
     n, w = poly.n, poly.weights
-    table = find_bridges_linear(poly)
-    total = table.total_cones()
     n1 = n + 1
-    memo: dict[int, int] | MemoStore
-    if backend == "hash":
-        memo = {}
-    elif backend == "dense":
-        memo = MemoStore(n, (u * n + v for u, v in table.bridges))
-    else:
-        raise ValueError(f"unknown memo backend {backend!r}")
     s_of = {u * n + v: node for (u, v), (node, _) in table.s.items()}
     fw = f.fn
     lighter = poly.lighter
@@ -501,6 +785,49 @@ def solve_bst(
                 raise SolverInvariantError(f"memo cell {key} written twice")
             memo[key] = val
 
-    opt, edges = reconstruct_triangulation(poly, table, f, memo.__getitem__)
-    stats = SolveStats(visited, hits, total, time.perf_counter_ns() - t0, backend)
+    return visited, hits
+
+
+def solve_bst(
+    poly: Polygon,
+    f: TriangleWeightFn,
+    backend: str = "hash",
+) -> tuple[int, Triangulation, SolveStats]:
+    """Optimal triangulation via the memoized branching search.
+
+    Returns (optimal weight, a witness triangulation, stats). The search
+    visits each cone at most once; on instances whose expansions funnel into
+    few distinct cones (staircase polygons being the canonical family) the
+    visited count is far below the quadratic census.
+
+    backend selects the memo: "hash" is a dict, "dense" a MemoStore, which
+    refuses n > DENSE_CAP. Two engines run the search and agree in value,
+    edges, visited_cones and memo_hits; stats.engine names the one that
+    ran. A hash solve of n >= SWEEP_MIN_N nodes whose weight function has a
+    ``vec`` takes the numpy sweep (exact past int64 like yao_solver's vector
+    engine) when it expects at least SWEEP_MIN_WIDTH cones per level of its
+    cone graph: the sweep's cost grows with the levels, the loop's with the
+    cones. Every other solve takes the inline loop.
+    """
+    t0 = time.perf_counter_ns()
+    if backend not in ("hash", "dense"):
+        raise ValueError(f"unknown memo backend {backend!r}")
+    f.ensure_monotonic()
+    check_accumulator_bound(poly, f)
+    n = poly.n
+    table = find_bridges_linear(poly)
+    total = table.total_cones()
+    swept = None
+    if backend == "hash" and f.vec is not None and n >= SWEEP_MIN_N:
+        swept = _sweep(poly, table, f)
+    if swept is not None:
+        engine = "sweep"
+        visited, hits, get = swept
+    else:
+        engine = "loop"
+        memo = {} if backend == "hash" else MemoStore(n, (u * n + v for u, v in table.bridges))
+        visited, hits = _search(poly, table, f, memo)
+        get = memo.__getitem__
+    opt, edges = reconstruct_triangulation(poly, table, f, get)
+    stats = SolveStats(visited, hits, total, time.perf_counter_ns() - t0, backend, engine)
     return opt, Triangulation(edges, opt), stats

@@ -107,6 +107,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             ("visited_cones", st.visited_cones),
             ("total_cones", st.total_cones),
             ("memo", st.backend),
+            ("engine", st.engine),
             ("elapsed_ns", st.elapsed_ns),
         ]
     else:
@@ -116,6 +117,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             ("memo_hits", st.memo_hits),
             ("total_cones", st.total_cones),
             ("memo", st.backend),
+            ("engine", st.engine),
             ("elapsed_ns", st.elapsed_ns),
         ]
     pairs.append(("optimal_weight", opt))

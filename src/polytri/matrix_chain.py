@@ -86,9 +86,19 @@ def triangulation_to_parenthesization(
     """Render the parenthesization encoded by a triangulation.
 
     The triangle {i, m, j} on chord (i, j) becomes "(L R)" where L covers
-    matrices i+1..m and R covers m+1..j.
+    matrices i+1..m and R covers m+1..j. So each triangle opens a
+    parenthesis before A(i+1) and closes one after Aj, and the text is the
+    matrices in order with their parentheses, joined once: linear in n.
     """
-    return _fold(chain, tri, lambda j: f"A{j}", lambda i, m, j, left, right: f"({left} {right})")
+    n = chain.n_matrices
+    if n == 1:
+        return "A1"
+    opens = [0] * (n + 1)
+    closes = [0] * (n + 1)
+    for i, _, j in list_triangles(chain_to_polygon(chain), tri):
+        opens[i + 1] += 1
+        closes[j] += 1
+    return " ".join(f"{'(' * opens[j]}A{j}{')' * closes[j]}" for j in range(1, n + 1))
 
 
 def parenthesization_cost(chain: ChainDims, tri: Iterable[Edge] | Triangulation) -> int:

@@ -186,5 +186,5 @@ def solve_yao(
             return v0[bridge] if k == 0 else int(vz[bridge][rank_of[k - 1]])
 
     opt, edges = reconstruct_triangulation(poly, table, f, get)
-    stats = SolveStats(total, 0, total, time.perf_counter_ns() - t0, engine)
+    stats = SolveStats(total, 0, total, time.perf_counter_ns() - t0, engine, engine)
     return opt, Triangulation(edges, opt), stats

@@ -1,0 +1,170 @@
+"""The branching search's numpy sweep against its inline loop.
+
+Both engines must visit the same cones, count the same memo hits and
+compute the same value for every cone: the sweep's ``get`` is read at every
+key the loop's memo holds. solve_bst takes the sweep for hash solves with a
+vectorized weight function from SWEEP_MIN_N nodes on, when it expects at
+least SWEEP_MIN_WIDTH cones per level; the tests below lower both cutoffs
+to run the sweep on small and thin polygons too.
+"""
+
+import random
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from test_exact_engines import FNS, heavy_light, random_piece_sums
+from polytri import (
+    Polygon,
+    TriangleWeightFn,
+    find_bridges_linear,
+    gen_random,
+    gen_staircase,
+    solve_bst,
+    solve_yao,
+)
+from polytri import bst_solver
+from polytri.bst_solver import SWEEP_MIN_N, _search, _sweep
+
+WEIGHT_FNS = [FNS["mult"], FNS["add"], FNS["custom"]]
+
+
+def corpus():
+    """300 random polygons, n 3..300, weights to 5, 100 and 10**4, plus staircases."""
+    rng = random.Random(2021)
+    for i in range(300):
+        n = rng.randint(3, 300)
+        hi = (5, 100, 10**4)[i % 3]
+        yield Polygon(tuple(rng.randint(1, hi) for _ in range(n)))
+    for half_n in (2, 3, 10, 50, 200):
+        yield gen_staircase(half_n)
+
+
+def assert_sweep_matches_loop(poly, f):
+    """Same visited and hit counts, and the loop's value at every visited cone."""
+    table = find_bridges_linear(poly)
+    memo = {}
+    counts = _search(poly, table, f, memo)
+    with mock.patch.object(bst_solver, "SWEEP_MIN_WIDTH", 0):
+        visited, hits, get = _sweep(poly, table, f)
+    assert (visited, hits) == counts
+    assert all(get(key) == val for key, val in memo.items())
+
+
+def solve_both(poly, f, monkeypatch):
+    """solve_bst through the loop, then through the sweep."""
+    monkeypatch.setattr(bst_solver, "SWEEP_MIN_N", 10**9)
+    loop = solve_bst(poly, f)
+    monkeypatch.setattr(bst_solver, "SWEEP_MIN_N", 0)
+    monkeypatch.setattr(bst_solver, "SWEEP_MIN_WIDTH", 0)
+    sweep = solve_bst(poly, f)
+    assert (loop[2].engine, sweep[2].engine) == ("loop", "sweep")
+    return loop, sweep
+
+
+def outcome(result):
+    opt, tri, st = result
+    return opt, tri.edges, st.visited_cones, st.memo_hits, st.total_cones, st.backend
+
+
+@pytest.mark.parametrize("fname", ["mult", "add", "custom"])
+def test_identity_corpus(fname):
+    f = FNS[fname]
+    f.ensure_monotonic()
+    for poly in corpus():
+        assert_sweep_matches_loop(poly, f)
+
+
+def test_identity_through_solve_bst(monkeypatch):
+    rng = random.Random(7)
+    polys = [gen_staircase(h) for h in (2, 3, 10, 50)]
+    for hi in (5, 10**4) * 15:
+        polys.append(Polygon(tuple(rng.randint(1, hi) for _ in range(rng.randint(3, 120)))))
+    for poly in polys:
+        for f in WEIGHT_FNS:
+            loop, sweep = solve_both(poly, f, monkeypatch)
+            assert outcome(sweep) == outcome(loop)
+
+
+@pytest.mark.parametrize("fname", ["mult", "custom"])
+@pytest.mark.parametrize(
+    "poly",
+    [
+        Polygon((2**20,) * 70),
+        heavy_light(1, 60, 2**20),
+        heavy_light(3, 40, 2**20),
+        heavy_light(2, 60, 2**21 - 1000),
+        Polygon((2**22,) * 70),
+        heavy_light(3, 50, 2**22),
+        Polygon((2**40, 1, 2, 2**40, 3, 4, 2**39)),
+    ],
+    ids=[
+        "uniform-2^20", "mix-2^20-a", "mix-2^20-b", "mix-2^21", "uniform-2^22", "mix-2^22", "2^40"
+    ],
+)
+def test_past_int64(poly, fname, monkeypatch):
+    # test_exact_engines' inputs, where the vector engines leave int64 for
+    # object dtype mid-run or from the start; the sweep does so mid-run on
+    # the first three and from the start on the rest
+    f = FNS[fname]
+    assert_sweep_matches_loop(poly, f)
+    loop, sweep = solve_both(poly, f, monkeypatch)
+    assert outcome(sweep) == outcome(loop)
+    _, ts, _ = solve_yao(poly, f, engine="scalar")
+    assert (sweep[0], sweep[1].edges) == (ts.weight, ts.edges)
+
+
+def test_dispatch():
+    fa = TriangleWeightFn.additive()
+    at = gen_staircase(SWEEP_MIN_N // 2)  # about n / 2 cones per level
+    below = Polygon(at.weights[:-1])
+    assert solve_bst(below, fa)[2].engine == "loop"
+    assert solve_bst(at, fa)[2].engine == "sweep"
+    assert solve_bst(at, fa, backend="dense")[2].engine == "loop"
+    plain = TriangleWeightFn.custom(lambda x, y, z: x + y + z)  # no vec
+    assert solve_bst(at, plain)[2].engine == "loop"
+    swept, looped = (outcome(solve_bst(at, g)) for g in (fa, plain))
+    assert swept == looped  # backend "hash" in both
+    assert solve_bst(gen_random(4 * SWEEP_MIN_N, 3), fa)[2].engine == "sweep"
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [range(1, 3001), [7] * 3000, [(i % 2) * 3000 + i + 1 for i in range(3000)]],
+    ids=["sorted", "equal", "zigzag"],
+)
+def test_thin_polygons_take_the_loop(weights):
+    # nested n deep with a few cones per level: the loop is many times faster
+    poly = Polygon(tuple(weights))
+    _, _, st = solve_bst(poly, TriangleWeightFn.additive())
+    assert st.engine == "loop"
+    assert st.visited_cones < 2 * poly.n
+
+
+def test_get_refuses_unvisited_cones():
+    poly = gen_random(60, 5)
+    table = find_bridges_linear(poly)
+    memo = {}
+    _search(poly, table, FNS["add"], memo)
+    with mock.patch.object(bst_solver, "SWEEP_MIN_WIDTH", 0):
+        _, _, get = _sweep(poly, table, FNS["add"])
+    n1 = poly.n + 1
+    census = {(u * poly.n + v) * n1 + k for u, v in table.bridges for k in range(poly.n + 1)}
+    for key in sorted(census - set(memo))[:200]:
+        with pytest.raises(KeyError):
+            get(key)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    weights=st.lists(
+        st.one_of(st.integers(1, 64), st.integers(2**18, 2**22)), min_size=3, max_size=60
+    ),
+    f=st.one_of(st.sampled_from([FNS[name] for name in sorted(FNS)]), random_piece_sums),
+)
+def test_sweep_equals_loop(weights, f):
+    poly = Polygon(tuple(weights))
+    f.ensure_monotonic()
+    assert_sweep_matches_loop(poly, f)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from polytri import gen_random, read_csv
+from polytri import bst_solver, gen_random, read_csv
 from polytri.cli import main
 
 QUAD = "4\n1 2 5 3\n"
@@ -59,6 +59,22 @@ class TestSolve:
         pairs = kv(out)
         assert code == 0
         assert (pairs["optimal_weight"], pairs["edges"], pairs["memo"]) == ("16", "1-3", "dense")
+
+    def test_engine_line(self, capsys, quad_file, monkeypatch):
+        engines = {}
+        for algo, memo in (("bst", "hash"), ("bst", "dense"), ("yao", "hash")):
+            argv = ("solve", "--input", quad_file, "--algo", algo, "--memo", memo)
+            engines[algo, memo] = kv(run_cli(capsys, *argv)[1])["engine"]
+        assert engines == {
+            ("bst", "hash"): "loop", ("bst", "dense"): "loop", ("yao", "hash"): "vector"
+        }
+        monkeypatch.setattr(bst_solver, "SWEEP_MIN_N", 4)
+        monkeypatch.setattr(bst_solver, "SWEEP_MIN_WIDTH", 0)
+        _, out, _ = run_cli(capsys, "solve", "--input", quad_file, "--emit-edges")
+        pairs = kv(out)
+        assert (pairs["engine"], pairs["memo"], pairs["optimal_weight"], pairs["edges"]) == (
+            "sweep", "hash", "25", "0-2"
+        )
 
     @pytest.mark.parametrize("algo", ["dp3", "yao"])
     def test_other_exact_algos(self, capsys, quad_file, algo):

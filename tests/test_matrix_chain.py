@@ -6,6 +6,8 @@ import re
 import pytest
 
 from conftest import chain_cost_bruteforce
+from polytri.matrix_chain import _fold
+from polytri.toolkit import child_seed
 from polytri import (
     ChainDims,
     Polygon,
@@ -86,6 +88,45 @@ class TestParenthesization:
         chain = ChainDims((10, 20, 30, 40, 50))
         with pytest.raises(ValueError):
             parenthesization_cost(chain, {(0, 2), (1, 3)})
+        with pytest.raises(ValueError):
+            triangulation_to_parenthesization(chain, {(0, 2), (1, 3)})
+
+
+def joined_parenthesization(chain, tri):
+    """The text built by joining the two parts' strings at every triangle."""
+    return _fold(chain, tri, lambda j: f"A{j}", lambda i, m, j, left, right: f"({left} {right})")
+
+
+class TestParenthesizationText:
+    def test_chain_cli_chains(self):
+        # the benchmark's chain-cli chains, seed 1, with bst's witnesses
+        fm = TriangleWeightFn.multiplicative()
+        for m in range(100, 201, 10):
+            for trial in range(8):
+                chain = gen_random_chain(m, child_seed(1, m, trial), lo=1, hi=10**6)
+                _, tri, _ = solve_bst(chain_to_polygon(chain), fm)
+                text = triangulation_to_parenthesization(chain, tri)
+                assert text == joined_parenthesization(chain, tri)
+
+    def test_chains_of_1e5_matrices(self):
+        n = 10**5
+        chain = ChainDims(tuple(random.Random(3).randint(1, 50) for _ in range(n + 1)))
+        # the deepest split tree: ((A1 A2) A3) ... An
+        left_deep = {(0, j) for j in range(2, n)}
+        want = "(" * (n - 1) + "A1" + "".join(f" A{j})" for j in range(2, n + 1))
+        assert triangulation_to_parenthesization(chain, left_deep) == want
+        # a random split tree, shallow enough to join strings at every triangle
+        rng = random.Random(5)
+        edges, todo = set(), [(0, n)]
+        while todo:
+            i, j = todo.pop()
+            if j - i > 1:
+                if (i, j) != (0, n):
+                    edges.add((i, j))
+                m = rng.randint(i + 1, j - 1)
+                todo += (i, m), (m, j)
+        text = triangulation_to_parenthesization(chain, edges)
+        assert text == joined_parenthesization(chain, edges)
 
 
 class TestAgainstBruteforce:
