@@ -2,15 +2,17 @@
 
 A bridge is an ordered pair (u, v) whose clockwise arc from u to v has a
 non-empty interior in which every node is heavier than both endpoints,
-heaviness taken under the (weight, index) total order. S(u, v) is the
-lightest node strictly inside that arc. A cone (u, v, apex) is the arc
-polygon of a bridge, optionally extended by one apex node lighter than both
-endpoints; cones are the only subproblems the solvers ever evaluate.
+heaviness taken under the polygon's one total order, ``Polygon.rank``,
+compared through ``rank_of``. S(u, v) is the lightest node strictly inside
+that arc. A cone (u, v, apex) is the arc polygon of a bridge, optionally
+extended by one apex node lighter than both endpoints; cones are the only
+subproblems the solvers ever evaluate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .core import Polygon
 
@@ -53,8 +55,10 @@ class BridgeTable:
 
 
 def _canonical(poly: Polygon, found: list[Bridge], s: dict[Bridge, tuple[int, int]]) -> BridgeTable:
-    n = poly.n
-    order = sorted(found, key=lambda uv: (uv[0], (uv[1] - uv[0]) % n))
+    # both finders emit each u's bridges in order of increasing arc length
+    # (the walk by its steps from u, the stack by its scan head), and the
+    # sort is stable, so sorting on u alone gives the canonical order
+    order = sorted(found, key=itemgetter(0))
     return BridgeTable(poly, tuple(order), {uv: s[uv] for uv in order})
 
 
@@ -67,22 +71,22 @@ def find_bridges_walk(poly: Polygon) -> BridgeTable:
     stops after processing any node lighter than u itself, the first node
     included, or upon returning to u.
     """
-    n, w = poly.n, poly.weights
+    n, w, rank_of = poly.n, poly.weights, poly.rank_of
     found: list[Bridge] = []
     s: dict[Bridge, tuple[int, int]] = {}
     for u in range(n):
-        wu = w[u]
+        ru = rank_of[u]
         su = -1
         for step in range(1, n):
             t = (u + step) % n
-            wt = w[t]
+            rt = rank_of[t]
             if su < 0:
                 su = t
-            elif (wt, t) < (w[su], su):
+            elif rt < rank_of[su]:
                 found.append((u, t))
                 s[(u, t)] = (su, w[su])
                 su = t
-            if (wt, t) < (wu, u):
+            if rt < ru:
                 break
     return _canonical(poly, found, s)
 
@@ -96,16 +100,16 @@ def find_bridges_linear(poly: Polygon) -> BridgeTable:
     is exactly the S value at the moment the entry pops. The output is
     canonicalized to match the walk finder bit for bit.
     """
-    n, w = poly.n, poly.weights
+    n, w, rank_of = poly.n, poly.weights, poly.rank_of
     m0 = poly.rank[0]
     found: list[Bridge] = []
     s: dict[Bridge, tuple[int, int]] = {}
     stack: list[list[int]] = [[m0, -1]]  # [node, lightest node above, or -1]
     for step in range(1, n + 1):
         t = m0 if step == n else (m0 + step) % n
-        wt = (w[t], t)
+        rt = rank_of[t]
         popped = False
-        while (w[stack[-1][0]], stack[-1][0]) > wt:
+        while rank_of[stack[-1][0]] > rt:
             node, above = stack.pop()
             if above >= 0:
                 found.append((node, t))
@@ -113,7 +117,7 @@ def find_bridges_linear(poly: Polygon) -> BridgeTable:
             parent = stack[-1]
             best = parent[1]
             for cand in (node, above):
-                if cand >= 0 and (best < 0 or (w[cand], cand) < (w[best], best)):
+                if cand >= 0 and (best < 0 or rank_of[cand] < rank_of[best]):
                     best = cand
             parent[1] = best
             popped = True

@@ -15,22 +15,24 @@ the rules. Every cone expansion also has one compact shape, (p, a, b),
 stated once in ``_cone_shape``. ``solve_bst`` runs that shape in one of two
 engines. The loop goes over a flattened work stack with packed integer keys
 and one memo interface: a dict (backend "hash") or the write-once
-``MemoStore`` (backend "dense"). The sweep lists the same visited cones
-level by level in numpy and values them bottom-up, since which cones the
-search visits depends on the polygon alone. The sweep pays a few numpy
-calls per level of the cone graph, so hash solves take it only from
-``SWEEP_MIN_N`` nodes on, when the weight function has a ``vec`` and the
-sweep expects at least ``SWEEP_MIN_WIDTH`` cones per level (``_width``
-estimates that from the bridge nesting before any level is run); the
-loop runs everything else, including sorted or tie-heavy polygons, whose
-cone graph is n levels deep with a few cones on each. ``reconstruct_triangulation`` evaluates the root and
-walks one winning edge set over the solved values by packed key, for both
-engines and for yao_solver's sweep; it calls ``_cone_shape``, as does
-yao_solver's vector sweep. A stored value that no branch reproduces raises
-SolverInvariantError. The tests cross-check the packed forms against the
-public rules: cone values against a recursion over ``expand_cone``,
-witnesses against a re-expansion of winning cones, and the sweep against
-the loop cone by cone.
+``MemoStore`` (backend "dense"); it takes each apexless cone's shape from
+``_cone_shape``. The sweep lists the same visited cones level by level in
+numpy and values them bottom-up, since which cones the search visits
+depends on the polygon alone. The sweep pays a few numpy calls per level
+of the cone graph, so hash solves take it only from ``SWEEP_MIN_N`` nodes
+on, when the weight function has a ``vec`` and the sweep expects at least
+``SWEEP_MIN_WIDTH`` cones per level (``_width`` estimates that from the
+bridge nesting before any level is run); the loop runs everything else,
+including sorted or tie-heavy polygons, whose cone graph is n levels deep
+with a few cones on each. ``reconstruct_triangulation`` evaluates the root
+and walks one winning edge set over the solved values by packed key, for
+both engines and for yao_solver's sweep; it calls ``_cone_shape``, as does
+yao_solver's vector sweep. "Lighter" is always the polygon's one total
+order, read as ``rank_of[a] < rank_of[b]``. A stored value that no branch
+reproduces raises SolverInvariantError. The tests cross-check the packed
+forms against the public rules: cone values against a recursion over
+``expand_cone``, witnesses against a re-expansion of winning cones, and
+the sweep against the loop cone by cone.
 """
 
 from __future__ import annotations
@@ -161,7 +163,7 @@ def expand_cone(cone: Cone, table: BridgeTable) -> list[Branch]:
     if interior < 2:
         raise ValueError(f"{cone} is a base case, not expandable")
     t3 = table.s_node(u, v)
-    if poly.lighter(u, v):
+    if poly.rank_of[u] < poly.rank_of[v]:
         x = (u + 1) % n
         if x != t3:
             return [Branch((norm_edge(u, t3),), (Cone(u, t3), Cone(t3, v, u)), ())]
@@ -315,9 +317,9 @@ def _cone_shape(
     """
     if k:
         return k - 1, u, v, True
-    n, w = poly.n, poly.weights
+    n, rank_of = poly.n, poly.rank_of
     x3 = table.s[(u, v)][0]
-    if (w[u], u) < (w[v], v):
+    if rank_of[u] < rank_of[v]:
         x = (u + 1) % n
         # x is S(u, v): two branches; otherwise the edge (u, S(u, v)) is forced
         return (u, x, v, True) if x == x3 else (u, u, v, False)
@@ -550,7 +552,7 @@ def _sweep(
 ) -> tuple[int, int, Callable[[int], int]] | None:
     """The search's visited cones, valued level by level in numpy.
 
-    Returns (visited_cones, memo_hits, get) as the inline loop would, with
+    Returns (visited_cones, memo_hits, get) as the loop (_search) would, with
     get(key) reading the value of a visited cone by the loop's packed key;
     or None, having valued nothing, when _width expects fewer than
     SWEEP_MIN_WIDTH cones per level, too few to pay for the levels' numpy
@@ -684,15 +686,17 @@ def _sweep(
 def _search(
     poly: Polygon, table: BridgeTable, f: TriangleWeightFn, memo: dict[int, int] | MemoStore
 ) -> tuple[int, int]:
-    """The search as one inline loop over a work stack; returns (visited, hits).
+    """The search as a loop over a work stack; returns (visited, hits).
 
-    Fills ``memo`` with the value of every visited cone by packed key.
+    Fills ``memo`` with the value of every visited cone by packed key. Each
+    cone is expanded in its (p, a, b) shape: an apexed cone's is written
+    out, an apexless one's comes from _cone_shape (each is visited at most
+    once, so that is at most one call per bridge).
     """
     n, w = poly.n, poly.weights
     n1 = n + 1
     s_of = {u * n + v: node for (u, v), (node, _) in table.s.items()}
     fw = f.fn
-    lighter = poly.lighter
     visited = 0
     hits = 0
 
@@ -716,8 +720,6 @@ def _search(
             visited += 1
             bk, k = divmod(key, n1)
             u, v = divmod(bk, n)
-            # _cone_shape, written inline: a call per cone made staircase 50% slower
-            ab = bk
             if k:
                 p = k - 1
                 a = u
@@ -727,22 +729,9 @@ def _search(
                 # one interior node: a single triangle, no expansion
                 memo[key] = fw(w[u], w[(u + 1) % n], w[v])
                 continue
-            elif lighter(u, v):
-                p = a = u
-                b = v
-                x = u + 1 - n if u + 1 >= n else u + 1
-                one = x == s_of[bk]
-                if one:
-                    a = x
-                    ab = x * n + v
             else:
-                p = b = v
-                a = u
-                x = v - 1 if v else n - 1
-                one = x == s_of[bk]
-                if one:
-                    b = x
-                    ab = u * n + x
+                p, a, b, one = _cone_shape(poly, table, u, v, 0)
+            ab = a * n + b
             m = s_of[ab]
             c2 = 0
             ch2a = ch2b = -1
@@ -807,7 +796,7 @@ def solve_bst(
     ``vec`` takes the numpy sweep (exact past int64 like yao_solver's vector
     engine) when it expects at least SWEEP_MIN_WIDTH cones per level of its
     cone graph: the sweep's cost grows with the levels, the loop's with the
-    cones. Every other solve takes the inline loop.
+    cones. Every other solve takes the loop.
     """
     t0 = time.perf_counter_ns()
     if backend not in ("hash", "dense"):

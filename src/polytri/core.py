@@ -84,10 +84,11 @@ class Polygon:
 
     ``n`` is the node count, stored once since the solvers read it in their
     inner loops. ``rank[r]`` is the index of the r-th lightest node under
-    the total order (weight, node index); ``rank_of`` is the inverse
-    permutation. Ties in weight are broken by node index everywhere, which
-    is equivalent to an infinitesimal perturbation and leaves optimal
-    triangulation weights unchanged.
+    the total order (weight, node index), and ``rank_of`` is the inverse
+    permutation. ``rank`` is the one place that order is decided: ties in
+    weight go by node index, which is equivalent to an infinitesimal
+    perturbation and leaves optimal triangulation weights unchanged, and
+    code asks "is a lighter than b" as ``rank_of[a] < rank_of[b]``.
     """
 
     weights: tuple[int, ...]
@@ -107,7 +108,7 @@ class Polygon:
                 raise ValueError(f"node {i} has non-positive weight {w}")
             if w > WEIGHT_MAX:
                 raise ValueError(f"node {i} weight {w} exceeds the signed 64-bit limit")
-        rank = tuple(sorted(range(n), key=lambda i: (ws[i], i)))
+        rank = tuple(sorted(range(n), key=ws.__getitem__))  # stable: ties go by index
         rank_of = [0] * n
         for r, node in enumerate(rank):
             rank_of[node] = r
@@ -121,10 +122,6 @@ class Polygon:
     def arc_len(self, u: int, v: int) -> int:
         """Number of clockwise steps from u to v (0 means u == v)."""
         return (v - u) % self.n
-
-    def lighter(self, a: int, b: int) -> bool:
-        wa, wb = self.weights[a], self.weights[b]
-        return (wa, a) < (wb, b)
 
 
 class TriangleWeightFn:
@@ -179,10 +176,10 @@ class TriangleWeightFn:
     def custom(cls, fn: Callable[[int, int, int], int], vec: Callable | None = None) -> "TriangleWeightFn":
         return cls("custom", fn, vec=vec)
 
-    def ensure_monotonic(self, seed: int = 0, rounds: int = 1000) -> None:
+    def ensure_monotonic(self) -> None:
         """Spot check strict monotonicity and symmetry; cached per instance.
 
-        Draws ``rounds`` random triples, bumps one coordinate, and requires a
+        Draws 1000 seeded random triples, bumps one coordinate, and requires a
         strict increase; also requires invariance under argument permutation.
         When ``vec`` is present it must agree with ``fn``: as int64 arrays on
         the same triples wherever fn's value fits int64 and on a few mixed
@@ -193,7 +190,7 @@ class TriangleWeightFn:
         """
         if self._checked:
             return
-        rng = random.Random(seed)
+        rng = random.Random(0)
         f = self.fn
         triples: list[tuple[int, int, int]] = []
         values: list[int] = []
@@ -201,7 +198,7 @@ class TriangleWeightFn:
         # non-negative values (dense memo cells use -1 as the empty sentinel)
         if f(1, 1, 1) < 0:
             raise MonotonicityError(f"{self.kind} weight fn is negative at (1, 1, 1)")
-        for _ in range(rounds):
+        for _ in range(1000):
             x, y, z = (rng.randint(1, 1000) for _ in range(3))
             base = f(x, y, z)
             if f(y, x, z) != base or f(z, y, x) != base or f(x, z, y) != base:

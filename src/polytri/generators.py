@@ -44,11 +44,11 @@ def gen_staircase(half_n: int) -> Polygon:
     return Polygon(tuple(_zigzag(2 * half_n)))
 
 
-def gen_heuristic_worst(n: int, t: int, x: int = 1, perturb: bool = False) -> Polygon:
-    """Polygon with two heavy nodes (weight t*x) splitting the light ones.
+def gen_heuristic_worst(n: int, t: int, perturb: bool = False) -> Polygon:
+    """Polygon with two heavy nodes (weight t) splitting the light ones.
 
     The two heaviest ranks land on opposite sides of the polygon with light
-    nodes (weight x) between them; as t grows the additive heuristic's
+    nodes (weight 1) between them; as t grows the additive heuristic's
     relative error on these approaches its 1/3 supremum from below.
 
     With perturb=True all weights are made pairwise distinct by scaling and
@@ -57,10 +57,10 @@ def gen_heuristic_worst(n: int, t: int, x: int = 1, perturb: bool = False) -> Po
     """
     if n < 4:
         raise ValueError("heuristic worst case needs n >= 4")
-    if t < 1 or x < 1:
-        raise ValueError("t and x must be positive")
+    if t < 1:
+        raise ValueError("t must be positive")
     ranks = _zigzag(n)
-    base = [x if r <= n - 2 else t * x for r in ranks]
+    base = [1 if r <= n - 2 else t for r in ranks]
     if not perturb:
         return Polygon(tuple(base))
     scale = 3 * n * (n + 1)

@@ -45,8 +45,8 @@ CSV_COLUMNS = (
 )
 
 # past these sizes the slow algorithms stop being useful data points
-DEFAULT_DP3_CAP = 1500
-DEFAULT_YAO_CAP = 20000
+DP3_CAP = 1500
+YAO_CAP = 20000
 
 
 @dataclass(frozen=True)
@@ -120,9 +120,6 @@ def run_bench(
     algos: Sequence[str] = ("bst", "yao", "dp3"),
     kind: str = "random",
     f: TriangleWeightFn | None = None,
-    csv_path: str | None = None,
-    dp3_cap: int = DEFAULT_DP3_CAP,
-    yao_cap: int = DEFAULT_YAO_CAP,
     report: IO[str] | None = None,
 ) -> list[BenchRecord]:
     """Run each algorithm on each (size, trial) instance; return the records.
@@ -130,9 +127,9 @@ def run_bench(
     kind is "random" or "staircase" (staircase ignores trial variation:
     the instance is determined by n, which must be even). The default
     weight function is additive so the heuristic can join the grid. Cells
-    skipped by the size caps are reported as comment lines on the report
-    stream (stderr by default) and produce no record. Exact-weight
-    agreement between the exact solvers in a cell is asserted.
+    skipped by the size caps (DP3_CAP, YAO_CAP) are reported as comment
+    lines on the report stream (stderr by default) and produce no record.
+    Exact-weight agreement between the exact solvers in a cell is asserted.
     """
     f = f or TriangleWeightFn.additive()
     out = report if report is not None else sys.stderr
@@ -150,11 +147,11 @@ def run_bench(
                 raise ValueError(f"unknown instance kind {kind!r}")
             exact: dict[str, int] = {}
             for algo in algos:
-                if algo == "dp3" and n > dp3_cap:
-                    print(f"# skip n={n} trial={trial} algo=dp3 reason=cap={dp3_cap}", file=out)
+                if algo == "dp3" and n > DP3_CAP:
+                    print(f"# skip n={n} trial={trial} algo=dp3 reason=cap={DP3_CAP}", file=out)
                     continue
-                if algo == "yao" and n > yao_cap:
-                    print(f"# skip n={n} trial={trial} algo=yao reason=cap={yao_cap}", file=out)
+                if algo == "yao" and n > YAO_CAP:
+                    print(f"# skip n={n} trial={trial} algo=yao reason=cap={YAO_CAP}", file=out)
                     continue
                 if algo == "heuristic" and f.kind != "add":
                     print(
@@ -168,8 +165,6 @@ def run_bench(
                     exact[algo] = rec.optimal_weight
             if len(set(exact.values())) > 1:
                 raise RuntimeError(f"solver disagreement at n={n} trial={trial}: {exact}")
-    if csv_path is not None:
-        write_csv(records, csv_path)
     return records
 
 

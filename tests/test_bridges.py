@@ -108,11 +108,10 @@ class TestCones:
             for cone in cones:
                 assert (cone.u, cone.v) in table.s
                 if cone.apex is not None:
-                    rank_of = poly.rank_of
-                    assert rank_of[cone.apex] < min(rank_of[cone.u], rank_of[cone.v])
                     # apex strictly lighter than both endpoints
-                    assert poly.lighter(cone.apex, cone.u)
-                    assert poly.lighter(cone.apex, cone.v)
+                    rank_of = poly.rank_of
+                    assert rank_of[cone.apex] < rank_of[cone.u]
+                    assert rank_of[cone.apex] < rank_of[cone.v]
 
     def test_enumerate_order_per_bridge(self):
         poly = gen_staircase(3)

@@ -138,9 +138,12 @@ def test_dispatch():
 def test_thin_polygons_take_the_loop(weights):
     # nested n deep with a few cones per level: the loop is many times faster
     poly = Polygon(tuple(weights))
-    _, _, st = solve_bst(poly, TriangleWeightFn.additive())
+    fa = TriangleWeightFn.additive()
+    opt, tri, st = solve_bst(poly, fa)
     assert st.engine == "loop"
     assert st.visited_cones < 2 * poly.n
+    want, ty, _ = solve_yao(poly, fa)
+    assert (opt, tri.edges) == (want, ty.edges)
 
 
 def test_get_refuses_unvisited_cones():

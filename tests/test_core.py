@@ -51,10 +51,15 @@ class TestPolygon:
         with pytest.raises(ValueError, match="64-bit"):
             Polygon((1, 2, WEIGHT_MAX + 1))
 
-    def test_rank_orders_by_weight_then_index(self):
+    @settings(max_examples=150)
+    @given(w=st.lists(st.integers(1, 3), min_size=3, max_size=60))
+    def test_rank_orders_by_weight_then_index(self, w):
         poly = Polygon((5, 1, 5, 2))
         assert poly.rank == (1, 3, 0, 2)  # ties: node 0 before node 2
         assert poly.rank_of == (2, 0, 3, 1)
+        poly = Polygon(tuple(w))  # tie-heavy
+        assert poly.rank == tuple(sorted(range(len(w)), key=lambda i: (w[i], i)))
+        assert all(poly.rank[r] == i for i, r in enumerate(poly.rank_of))
 
     def test_neighbors_and_arcs(self):
         poly = Polygon((1, 2, 3, 4, 5))
@@ -63,12 +68,13 @@ class TestPolygon:
         assert poly.adjacent(4, 0)
         assert poly.arc_len(3, 1) == 3
         assert poly.arc_len(1, 3) == 2
-        assert poly.lighter(0, 1) and not poly.lighter(3, 2)
+        assert poly.rank_of[0] < poly.rank_of[1]
+        assert not poly.rank_of[3] < poly.rank_of[2]
 
     def test_lighter_breaks_ties_by_index(self):
         poly = Polygon((7, 7, 1))
-        assert poly.lighter(0, 1)
-        assert not poly.lighter(1, 0)
+        assert poly.rank_of[0] < poly.rank_of[1]
+        assert not poly.rank_of[1] < poly.rank_of[0]
 
 
 class TestTriangleWeightFn:

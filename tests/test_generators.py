@@ -42,15 +42,13 @@ class TestHeuristicWorst:
     def test_goldens(self):
         assert gen_heuristic_worst(5, 4).weights == (1, 1, 4, 4, 1)
         assert gen_heuristic_worst(4, 1).weights == (1, 1, 1, 1)
-        assert gen_heuristic_worst(6, 3, x=2).weights == (2, 2, 2, 6, 6, 2)
+        assert gen_heuristic_worst(6, 3).weights == (1, 1, 1, 3, 3, 1)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="n >= 4"):
             gen_heuristic_worst(3, 10)
         with pytest.raises(ValueError, match="positive"):
             gen_heuristic_worst(5, 0)
-        with pytest.raises(ValueError, match="positive"):
-            gen_heuristic_worst(5, 10, x=0)
 
     def test_perturbed_weights_are_distinct_and_order_preserving(self):
         for n, t in ((5, 4), (8, 10), (13, 2)):

@@ -61,11 +61,11 @@ class TestRunBench:
             want = solve_bst(poly, TriangleWeightFn.additive())[0]
             assert rec.optimal_weight == want
 
-    def test_cap_skips_are_reported(self):
+    def test_cap_skips_are_reported(self, monkeypatch):
+        monkeypatch.setattr(toolkit, "DP3_CAP", 8)
+        monkeypatch.setattr(toolkit, "YAO_CAP", 8)
         report = io.StringIO()
-        records = run_bench(
-            (6, 12), trials=1, seed=0, dp3_cap=8, yao_cap=8, report=report
-        )
+        records = run_bench((6, 12), trials=1, seed=0, report=report)
         assert [r.algo for r in records] == ["bst", "yao", "dp3", "bst"]
         lines = report.getvalue().splitlines()
         assert "# skip n=12 trial=0 algo=dp3 reason=cap=8" in lines
@@ -129,7 +129,8 @@ class TestRunBench:
 class TestCsv:
     def test_round_trip_file(self, tmp_path):
         path = str(tmp_path / "bench.csv")
-        records = run_bench((6,), trials=2, seed=9, csv_path=path, report=io.StringIO())
+        records = run_bench((6,), trials=2, seed=9, report=io.StringIO())
+        write_csv(records, path)
         assert read_csv(path) == records
 
     def test_round_trip_stream(self):
