@@ -4,15 +4,17 @@ A bridge is an ordered pair (u, v) whose clockwise arc from u to v has a
 non-empty interior in which every node is heavier than both endpoints,
 heaviness taken under the polygon's one total order, ``Polygon.rank``,
 compared through ``rank_of``. S(u, v) is the lightest node strictly inside
-that arc. A cone (u, v, apex) is the arc polygon of a bridge, optionally
-extended by one apex node lighter than both endpoints; cones are the only
-subproblems the solvers ever evaluate.
+that arc. Every node x but the two lightest is the S node of exactly one
+bridge: (u, v) with u and v the nearest lighter nodes counter-clockwise and
+clockwise of x. So a polygon has exactly n - 2 bridges, and a bridge is
+named by its S node. A cone (u, v, apex) is the arc polygon of a bridge,
+optionally extended by one apex node lighter than both endpoints; cones are
+the only subproblems the solvers ever evaluate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from operator import itemgetter
+from dataclasses import dataclass
 
 from .core import Polygon
 
@@ -30,36 +32,68 @@ class Cone:
 
 @dataclass(frozen=True)
 class BridgeTable:
-    """All bridges of a polygon with their S values, in canonical order.
+    """All bridges of a polygon, each held at its S node x.
 
-    ``bridges`` is sorted by u, then by clockwise distance from u to v,
-    which coincides with the emission order of the walk finder. ``s`` maps
-    each bridge to (S node index, S node weight) so later decisions need no
-    extra scans.
+    ``left[x]`` and ``right[x]`` are the endpoints of the bridge whose S
+    node is x, -1 for the two lightest nodes, which are the S node of no
+    bridge. ``lc[x]`` = S(left[x], x) and ``rc[x]`` = S(x, right[x]) are x's
+    children in the Cartesian tree of the weight order (cut open at the
+    lightest node, so the second-lightest node's children are S(v1, v2) and
+    S(v2, v1)), -1 where the pair is adjacent and at the lightest node:
+    every bridge a cone expands into is one of these.
     """
 
     poly: Polygon
-    bridges: tuple[Bridge, ...]
-    s: dict[Bridge, tuple[int, int]] = field(repr=False)
+    left: list[int]
+    right: list[int]
+    lc: list[int]
+    rc: list[int]
 
     def __len__(self) -> int:
-        return len(self.bridges)
+        return len(self.left) - self.left.count(-1)
+
+    @property
+    def bridges(self) -> tuple[Bridge, ...]:
+        """The bridges sorted by u, then by clockwise distance from u to v.
+
+        Derived for the CLI dump and the tests; the solvers index the lists.
+        """
+        n = self.poly.n
+        found = [(u, v) for u, v in zip(self.left, self.right) if u >= 0]
+        return tuple(sorted(found, key=lambda uv: (uv[0], (uv[1] - uv[0]) % n)))
 
     def s_node(self, u: int, v: int) -> int:
-        return self.s[(u, v)][0]
+        """S(u, v); KeyError when (u, v) is not a bridge."""
+        rank_of = self.poly.rank_of
+        x = self.lc[v] if rank_of[u] < rank_of[v] else self.rc[u]
+        if x < 0 or self.left[x] != u or self.right[x] != v:
+            raise KeyError(f"({u}, {v}) is not a bridge")
+        return x
 
     def total_cones(self) -> int:
         """One apexless cone per bridge plus one cone per valid apex."""
         rank_of = self.poly.rank_of
-        return sum(1 + min(rank_of[u], rank_of[v]) for u, v in self.bridges)
+        return sum(
+            1 + min(rank_of[u], rank_of[v]) for u, v in zip(self.left, self.right) if u >= 0
+        )
 
 
-def _canonical(poly: Polygon, found: list[Bridge], s: dict[Bridge, tuple[int, int]]) -> BridgeTable:
-    # both finders emit each u's bridges in order of increasing arc length
-    # (the walk by its steps from u, the stack by its scan head), and the
-    # sort is stable, so sorting on u alone gives the canonical order
-    order = sorted(found, key=itemgetter(0))
-    return BridgeTable(poly, tuple(order), {uv: s[uv] for uv in order})
+def _table(poly: Polygon, found: list[tuple[int, int, int]]) -> BridgeTable:
+    """The table of the bridges (u, v) with S node x, given as (u, v, x).
+
+    x is the child of the heavier endpoint: with u lighter, u = left[v], so
+    x = lc[v]; otherwise v = right[u], so x = rc[u].
+    """
+    n, rank_of = poly.n, poly.rank_of
+    left, right, lc, rc = [-1] * n, [-1] * n, [-1] * n, [-1] * n
+    for u, v, x in found:
+        left[x] = u
+        right[x] = v
+        if rank_of[u] < rank_of[v]:
+            lc[v] = x
+        else:
+            rc[u] = x
+    return BridgeTable(poly, left, right, lc, rc)
 
 
 def find_bridges_walk(poly: Polygon) -> BridgeTable:
@@ -69,11 +103,11 @@ def find_bridges_walk(poly: Polygon) -> BridgeTable:
     node only initializes s(u), and each later node lighter than s(u) emits
     the bridge (u, node) with the previous s(u) recorded as S. The walk
     stops after processing any node lighter than u itself, the first node
-    included, or upon returning to u.
+    included, or upon returning to u. This is the reference for
+    find_bridges_linear.
     """
-    n, w, rank_of = poly.n, poly.weights, poly.rank_of
-    found: list[Bridge] = []
-    s: dict[Bridge, tuple[int, int]] = {}
+    n, rank_of = poly.n, poly.rank_of
+    found: list[tuple[int, int, int]] = []
     for u in range(n):
         ru = rank_of[u]
         su = -1
@@ -83,51 +117,37 @@ def find_bridges_walk(poly: Polygon) -> BridgeTable:
             if su < 0:
                 su = t
             elif rt < rank_of[su]:
-                found.append((u, t))
-                s[(u, t)] = (su, w[su])
+                found.append((u, t, su))
                 su = t
             if rt < ru:
                 break
-    return _canonical(poly, found, s)
+    return _table(poly, found)
 
 
 def find_bridges_linear(poly: Polygon) -> BridgeTable:
-    """Find all bridges in one monotone-stack pass (linear).
+    """Find all bridges in one nearest-lighter stack pass (linear).
 
-    The scan starts at the globally lightest node and ends on a sentinel
-    repeat of it, so no bridge arc wraps across the anchor. Each stack entry
-    carries the lightest node strictly between it and the scan head, which
-    is exactly the S value at the moment the entry pops. The output is
-    canonicalized to match the walk finder bit for bit.
+    The scan starts at the lightest node and ends on a repeat of it, so no
+    bridge arc wraps across it. The stack holds nodes in increasing rank;
+    a node x popped by the scan head t has t as its nearest lighter node
+    on the right and the entry u below it as its nearest lighter node on the
+    left, so (u, t) is the bridge with S = x, unless u and t are both the
+    lightest node (x is then the second-lightest).
     """
-    n, w, rank_of = poly.n, poly.weights, poly.rank_of
+    n, rank_of = poly.n, poly.rank_of
     m0 = poly.rank[0]
-    found: list[Bridge] = []
-    s: dict[Bridge, tuple[int, int]] = {}
-    stack: list[list[int]] = [[m0, -1]]  # [node, lightest node above, or -1]
+    found: list[tuple[int, int, int]] = []
+    stack = [m0]
     for step in range(1, n + 1):
-        t = m0 if step == n else (m0 + step) % n
+        t = (m0 + step) % n
         rt = rank_of[t]
-        popped = False
-        while rank_of[stack[-1][0]] > rt:
-            node, above = stack.pop()
-            if above >= 0:
-                found.append((node, t))
-                s[(node, t)] = (above, w[above])
-            parent = stack[-1]
-            best = parent[1]
-            for cand in (node, above):
-                if cand >= 0 and (best < 0 or rank_of[cand] < rank_of[best]):
-                    best = cand
-            parent[1] = best
-            popped = True
-        top = stack[-1]
-        if popped and top[0] != t:
-            found.append((top[0], t))
-            s[(top[0], t)] = (top[1], w[top[1]])
-        if step < n:
-            stack.append([t, -1])
-    return _canonical(poly, found, s)
+        while rank_of[stack[-1]] > rt:
+            x = stack.pop()
+            u = stack[-1]
+            if u != t:
+                found.append((u, t, x))
+        stack.append(t)
+    return _table(poly, found)
 
 
 def cone_nodes(poly: Polygon, cone: Cone) -> list[int]:

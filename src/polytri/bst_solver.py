@@ -2,8 +2,9 @@
 
 The search tree rooted at the whole polygon expands each cone into at most
 two branches; every child is again a cone of a bridge (or a base case), so
-memoizing on the cone descriptor (u, v, apex) bounds the work by the number
-of distinct cones. Branches follow two shapes:
+memoizing on the cone bounds the work by the number of distinct cones. A
+cone's key is x*(n + 1) + k, x the S node that names its bridge
+(BridgeTable) and k = apex + 1 or 0. Branches follow two shapes:
 
 - a "forced edge" branch: one edge is provably in some optimal triangulation
   of the cone, splitting it into one or two child cones;
@@ -11,16 +12,16 @@ of distinct cones. Branches follow two shapes:
   specific edge is (branch 2), and the solver takes the cheaper.
 
 ``expand_cone`` and ``expand_root`` are the public, self-describing form of
-the rules. Every cone expansion also has one compact shape, (p, a, b),
+the rules. Every cone expansion also has one compact shape, (p, ab, one),
 stated once in ``_cone_shape``. ``solve_bst`` runs that shape in one of two
-engines. The loop goes over a flattened work stack with packed integer keys
-and one memo interface: a dict (backend "hash") or the write-once
-``MemoStore`` (backend "dense"); it takes each apexless cone's shape from
+engines. The loop goes over a flattened work stack of packed keys and one
+memo interface: a dict (backend "hash") or the write-once ``MemoStore``
+(backend "dense"); it takes each apexless cone's shape from
 ``_cone_shape``. The sweep lists the same visited cones level by level in
 numpy and values them bottom-up, since which cones the search visits
-depends on the polygon alone. The sweep pays a few numpy calls per level
-of the cone graph, so hash solves take it only from ``SWEEP_MIN_N`` nodes
-on, when the weight function has a ``vec`` and the sweep expects at least
+depends on the polygon alone. The sweep pays a few numpy calls per level of
+the cone graph, so hash solves take it only from ``SWEEP_MIN_N`` nodes on,
+when the weight function has a ``vec`` and the sweep expects at least
 ``SWEEP_MIN_WIDTH`` cones per level (``_width`` estimates that from the
 bridge nesting before any level is run); the loop runs everything else,
 including sorted or tie-heavy polygons, whose cone graph is n levels deep
@@ -31,8 +32,8 @@ yao_solver's vector sweep. "Lighter" is always the polygon's one total
 order, read as ``rank_of[a] < rank_of[b]``. A stored value that no branch
 reproduces raises SolverInvariantError. The tests cross-check the packed
 forms against the public rules: cone values against a recursion over
-``expand_cone``, witnesses against a re-expansion of winning cones, and
-the sweep against the loop cone by cone.
+``expand_cone``, witnesses against a re-expansion of winning cones, and the
+sweep against the loop cone by cone.
 """
 
 from __future__ import annotations
@@ -40,8 +41,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -236,47 +236,49 @@ def expand_root(poly: Polygon) -> list[Branch]:
 class MemoStore:
     """The dense cone-value memo: a write-once mapping over packed cone keys.
 
-    Keys are (u*n + v)*(n + 1) + k, k = apex + 1 or 0. Each bridge owns one
-    (n + 1)-slot row, allocated on first use, with -1 as the empty sentinel.
-    It supports ``in``, ``[]``, ``[]=`` and ``len`` like the dict that the
-    hash backend uses instead. A key whose row is not a bridge raises
-    KeyError, which keeps the solver honest about only ever memoizing cones
-    of real bridges; so does reading an empty cell. A second write raises
-    SolverInvariantError. Rows cost O(n) each and O(n^2) overall, so the
-    store refuses polygons larger than DENSE_CAP.
+    Keys are x*(n + 1) + k: the cone of the bridge whose S node is x, with
+    apex k - 1 (k = 0: none). Each S node owns one (n + 1)-slot row,
+    allocated on first use, with -1 as the empty sentinel; row x is valid
+    iff left[x] >= 0 (BridgeTable.left). It supports ``in``, ``[]``, ``[]=``
+    and ``len`` like the dict that the hash backend uses instead. A key
+    whose row is not a bridge's raises KeyError, which keeps the solver
+    honest about only ever memoizing cones of real bridges; so does reading
+    an empty cell. A second write raises SolverInvariantError. Rows cost
+    O(n) each and O(n^2) overall, so the store refuses polygons larger than
+    DENSE_CAP.
     """
 
-    __slots__ = ("n1", "rows", "bridge_keys")
+    __slots__ = ("n1", "rows", "left")
 
-    def __init__(self, n: int, bridge_keys: Iterable[int]):
+    def __init__(self, n: int, left: Sequence[int]):
         if n > DENSE_CAP:
             raise ValueError(
                 f"dense memo refused for n={n} > {DENSE_CAP}; use the hash backend"
             )
         self.n1 = n + 1
         self.rows: dict[int, list[int]] = {}
-        self.bridge_keys = frozenset(bridge_keys)
+        self.left = left
 
-    def _new_row(self, bk: int) -> list[int]:
-        if bk not in self.bridge_keys:
-            raise KeyError(f"no bridge for packed pair key {bk}")
-        row = self.rows[bk] = [-1] * self.n1
+    def _new_row(self, x: int) -> list[int]:
+        if self.left[x] < 0:
+            raise KeyError(f"no bridge has S node {x}")
+        row = self.rows[x] = [-1] * self.n1
         return row
 
     def __contains__(self, key: int) -> bool:
-        bk, k = divmod(key, self.n1)
-        return (self.rows.get(bk) or self._new_row(bk))[k] >= 0
+        x, k = divmod(key, self.n1)
+        return (self.rows.get(x) or self._new_row(x))[k] >= 0
 
     def __getitem__(self, key: int) -> int:
-        bk, k = divmod(key, self.n1)
-        val = (self.rows.get(bk) or self._new_row(bk))[k]
+        x, k = divmod(key, self.n1)
+        val = (self.rows.get(x) or self._new_row(x))[k]
         if val < 0:
             raise KeyError(f"memo cell {key} is empty")
         return val
 
     def __setitem__(self, key: int, value: int) -> None:
-        bk, k = divmod(key, self.n1)
-        row = self.rows.get(bk) or self._new_row(bk)
+        x, k = divmod(key, self.n1)
+        row = self.rows.get(x) or self._new_row(x)
         if row[k] >= 0:
             raise SolverInvariantError(f"memo cell {key} written twice")
         row[k] = value
@@ -285,46 +287,50 @@ class MemoStore:
         return sum(1 for row in self.rows.values() for v in row if v >= 0)
 
 
-def _root_cones(poly: Polygon) -> tuple[tuple[Edge, ...], list[tuple[int, int, int]]]:
-    """The root's forced edges and its cones as (u, v, k), k = apex + 1 or 0.
+def _root_cones(table: BridgeTable) -> tuple[tuple[Edge, ...], list[tuple[int, int, int, int]]]:
+    """The root's forced edges and its cones as (x, k, u, v).
 
-    With the two lightest nodes adjacent, the whole polygon is the apexless
-    cone of the bridge between them, so the root takes part in the memo;
-    otherwise the root is expand_root's single, forced, branch.
+    Each is the cone of bridge (u, v), x = S(u, v) or -1 when u and v are
+    adjacent, with apex k - 1 (k = 0: none). With the two lightest nodes
+    adjacent, the whole polygon is the apexless cone of the bridge between
+    them, so the root takes part in the memo; otherwise the root is
+    expand_root's single, forced, branch.
     """
+    poly = table.poly
     n = poly.n
     v1, v2 = poly.rank[0], poly.rank[1]
     if (v2 - v1) % n == 1:
-        return (), [(v2, v1, 0)]
+        return (), [(table.rc[v2], 0, v2, v1)]
     if (v1 - v2) % n == 1:
-        return (), [(v1, v2, 0)]
+        return (), [(table.lc[v2], 0, v1, v2)]
     (br,) = expand_root(poly)
-    return br.edges, [(c.u, c.v, 0 if c.apex is None else c.apex + 1) for c in br.children]
+    out = []
+    for c in br.children:
+        x = table.s_node(c.u, c.v) if (c.v - c.u) % n > 1 else -1
+        out.append((x, 0 if c.apex is None else c.apex + 1, c.u, c.v))
+    return br.edges, out
 
 
-def _cone_shape(
-    poly: Polygon, table: BridgeTable, u: int, v: int, k: int
-) -> tuple[int, int, int, bool]:
-    """The (p, a, b, one) shape of non-base cone (u, v) with apex k - 1 (k = 0: none).
+def _cone_shape(table: BridgeTable, x: int, k: int) -> tuple[int, int, bool]:
+    """The (p, ab, one) shape of the non-base cone of bridge x with apex k - 1 (k = 0: none).
 
-    Every expand_cone expansion has this shape. p is the apex, or the
-    lighter endpoint of an apexless cone, and (a, b) is the bridge left
-    after p's forced side. Branch 1, present only when ``one`` is set, is
-    the triangle (a, b, p) plus the apexless cone (a, b). Branch 2 (the
-    only, forced, branch when ``one`` is not set) is the edge (p, m),
-    m = S(a, b), splitting into the cones (a, m) and (m, b), each with apex
-    p unless p is its endpoint.
+    Bridges are named by their S node. Every expand_cone expansion has this
+    shape. p is the apex, or the lighter endpoint of an apexless cone, and
+    ab names the bridge (a, b) = (left[ab], right[ab]) left after p's forced
+    side. Branch 1, present only when ``one`` is set, is the triangle
+    (a, b, p) plus the apexless cone (a, b). Branch 2 (the only, forced,
+    branch when ``one`` is not set) is the edge (p, m), m = S(a, b) = ab,
+    splitting into the cones (a, m) and (m, b), bridges lc[ab] and rc[ab]
+    (-1: a single side), each with apex p unless p is its endpoint.
     """
     if k:
-        return k - 1, u, v, True
-    n, rank_of = poly.n, poly.rank_of
-    x3 = table.s[(u, v)][0]
+        return k - 1, x, True
+    u, v = table.left[x], table.right[x]
+    rank_of = table.poly.rank_of
     if rank_of[u] < rank_of[v]:
-        x = (u + 1) % n
-        # x is S(u, v): two branches; otherwise the edge (u, S(u, v)) is forced
-        return (u, x, v, True) if x == x3 else (u, u, v, False)
-    x = (v - 1) % n
-    return (v, u, x, True) if x == x3 else (v, u, v, False)
+        # x next to u: two branches, (a, b) = (x, v); otherwise the edge (u, x) is forced
+        return (u, table.rc[x], True) if table.lc[x] < 0 else (u, x, False)
+    return (v, table.lc[x], True) if table.rc[x] < 0 else (v, x, False)
 
 
 def reconstruct_triangulation(
@@ -336,56 +342,55 @@ def reconstruct_triangulation(
     """Evaluate the root and walk one optimal edge set over solved cone values.
 
     get(key) returns the solved value of the non-base cone with packed key
-    (u*n + v)*(n + 1) + k, k = apex + 1 or 0; base cones are valued
-    directly and never looked up. The root is evaluated first, as the sum
-    of its cones (_root_cones). Returns (optimal weight, edges).
+    x*(n + 1) + k: the cone of the bridge whose S node is x, with apex
+    k - 1 (k = 0: none); base cones are valued directly and never looked
+    up. The root is evaluated first, as the sum of its cones (_root_cones).
+    Returns (optimal weight, edges).
 
-    Each cone is expanded in its (p, a, b) shape (_cone_shape). Branch 1 is
-    taken when it reproduces the solved value, so it wins ties as in the
+    Each cone is expanded in its (p, ab, one) shape (_cone_shape). Branch 1
+    is taken when it reproduces the solved value, so it wins ties as in the
     search; otherwise branch 2 must, or SolverInvariantError is raised, as
     it is when the walk does not yield n - 3 edges.
     """
-    n, w, fw, s = poly.n, poly.weights, f.fn, table.s
+    n, w, fw = poly.n, poly.weights, f.fn
+    left, right, lc, rc = table.left, table.right, table.lc, table.rc
     n1 = n + 1
 
-    def cone(u: int, v: int, k: int) -> tuple[int, int]:
-        """(key, value) of cone (u, v) with apex k - 1 (k = 0: none); key -1 for a base cone."""
-        d = (v - u) % n
-        if k:
-            if d == 1:
-                return -1, fw(w[u], w[v], w[k - 1])
-        elif d <= 2:
-            return -1, fw(w[u], w[(u + 1) % n], w[v]) if d == 2 else 0
-        key = (u * n + v) * n1 + k
+    def cone(x: int, k: int, a: int, b: int) -> tuple[int, int]:
+        """(key, value) of cone (a, b), S node x (-1: one side), apex k - 1; key -1: base."""
+        if x < 0:
+            return -1, fw(w[a], w[b], w[k - 1]) if k else 0
+        if not k and (b - a) % n == 2:
+            return -1, fw(w[a], w[x], w[b])
+        key = x * n1 + k
         return key, get(key)
 
-    root_edges, roots = _root_cones(poly)
+    root_edges, roots = _root_cones(table)
     edges: list[Edge] = list(root_edges)
     stack: list[int] = []  # non-base cones to walk, as key, value pairs
     opt = 0
-    for u, v, k in roots:
-        key, val = cone(u, v, k)
+    for x, k, u, v in roots:
+        key, val = cone(x, k, u, v)
         opt += val
         if key >= 0:
             stack += key, val
     while stack:
         val = stack.pop()
-        bk, k = divmod(stack.pop(), n1)
-        u, v = divmod(bk, n)
-        p, a, b, one = _cone_shape(poly, table, u, v, k)
+        x, k = divmod(stack.pop(), n1)
+        p, m, one = _cone_shape(table, x, k)
+        a, b = left[m], right[m]
         if one:
-            c, vc = cone(a, b, 0)
+            c, vc = cone(m, 0, a, b)
             if fw(w[a], w[b], w[p]) + vc == val:
                 edges.append((a, b) if a < b else (b, a))
                 if c >= 0:
                     stack += c, vc
                 continue
-        m = s[(a, b)][0]
-        ca, va = cone(a, m, 0 if p == a else p + 1)
-        cb, vb = cone(m, b, 0 if p == b else p + 1)
+        ca, va = cone(lc[m], 0 if p == a else p + 1, a, m)
+        cb, vb = cone(rc[m], 0 if p == b else p + 1, m, b)
         if va + vb != val:
             raise SolverInvariantError(
-                f"no branch of cone ({u}, {v}, apex {k - 1 if k else None}) "
+                f"no branch of cone ({left[x]}, {right[x]}, apex {k - 1 if k else None}) "
                 f"reproduces its solved value {val}"
             )
         edges.append((p, m) if p < m else (m, p))
@@ -513,38 +518,36 @@ def _visit(
     return spans, kids, np.concatenate([roots[:0], *cells]), runs, pushes
 
 
-def _width(
-    n: int, rank: np.ndarray, U: np.ndarray, V: np.ndarray, child: np.ndarray,
-    ch_key: np.ndarray, roots: np.ndarray,
-) -> float:
+def _width(table: BridgeTable, child: np.ndarray, ch_key: np.ndarray, roots: np.ndarray) -> float:
     """The cones per level the sweep can expect: an estimate from _sweep's tables.
 
     Cut open at the lightest node, the bridges' arcs nest, and the rows
-    below Z(B) are those of the bridges nested in B; sorted by (start,
-    -end) each B's nest is one run. An apex that an A node, or the root,
-    sends into Z(C) reaches every row of C's nest once, so the apexed cones
-    are the nest sizes of the sends not nested in a send of the same apex
-    (counting every A node as visited). The levels number about the depth
-    of the nesting.
+    below Z(x) are those of the bridges nested in x's: one per S node inside
+    its arc, at positions first[x] .. last[x] - 1 from the lightest node. An
+    apex that an A node, or the root, sends into Z(y) reaches every row of
+    y's nest once, so the apexed cones are the nest sizes of the sends not
+    nested in a send of the same apex (counting every A node as visited).
+    The levels number about the depth of the nesting.
     """
-    nb = len(U)
-    lo = (U - rank[0]) % n
-    hi = np.where(V == rank[0], n, (V - rank[0]) % n)
-    order = np.lexsort((-hi, lo))
-    at = np.empty(nb, np.int64)
-    at[order] = np.arange(nb)
-    end = np.searchsorted(lo[order], hi)  # B's nest is at[B] .. end[B] - 1
-    depth = np.cumsum(np.bincount(at + 1, minlength=nb + 1) - np.bincount(end, minlength=nb + 1))
-    sent = child[:nb, 1:] >= nb
-    keys = np.concatenate((ch_key[:nb, 1:][sent], roots[roots % (n + 1) > 0]))
-    row, apex = np.divmod(keys, n + 1)
-    first, last = at[row], end[row]
-    o = np.lexsort((first, apex))
-    first, last, apex = first[o], last[o], apex[o]
+    poly = table.poly
+    n, m0 = poly.n, poly.rank[0]
+    U, V = np.array(table.left, np.int64), np.array(table.right, np.int64)
+    bridge = U >= 0
+    first = (U - m0) % n + 1
+    last = np.where(V == m0, n, (V - m0) % n)
+    depth = np.cumsum(
+        np.bincount(first[bridge], minlength=n + 1) - np.bincount(last[bridge], minlength=n + 1)
+    )
+    sent = child[:n, 1:] >= n
+    keys = np.concatenate((ch_key[:n, 1:][sent], roots[roots % (n + 1) > 0]))
+    x, apex = np.divmod(keys, n + 1)
+    lo, hi = first[x], last[x]
+    o = np.lexsort((-hi, lo, apex))
+    lo, hi, apex = lo[o], hi[o], apex[o]
     # a send is nested in an earlier send of its apex when that one's nest reaches past it
-    reach = np.maximum.accumulate(np.concatenate(([-1], (apex * (nb + 1) + last)[:-1])))
-    top = reach <= apex * (nb + 1) + first
-    return (nb + int((last - first)[top].sum())) / (int(depth.max()) + 1)
+    reach = np.maximum.accumulate(np.concatenate(([-1], (apex * (n + 1) + hi)[:-1])))
+    top = reach <= apex * (n + 1) + lo
+    return (len(table) + int((hi - lo)[top].sum())) / int(depth.max())
 
 
 def _sweep(
@@ -559,88 +562,72 @@ def _sweep(
     calls (sorted or tie-heavy weights nest n deep with a few cones each).
 
     Every cone expansion is _cone_shape's, so the cones fall into two nodes
-    per bridge B: A(B), its apexless cone, and Z(B), its row of apexed
-    cones. Z(B) expands into A(B), Z(u, S) and Z(S, v) with the same apex;
-    A(B) into the apexless cone (a, b) when ``one`` is set, and into its
-    (a, m) and (m, b) children. The search never prunes, so which cones it
-    visits depends on the polygon alone: _visit lists them top-down by node
-    height as packed keys bid * (n + 1) + k, k = apex rank + 1 or 0, one
-    sort per level. The values then go bottom-up, a few whole-level
-    expressions per level. They are int64 while the largest value so far
-    proves the next level's sums fit, and object (exact ints) from the first
-    level where they may not, as in yao_solver.
+    per bridge x (named by its S node): A(x), its apexless cone, and Z(x),
+    its row of apexed cones. Z(x) expands into A(x), Z(lc[x]) and Z(rc[x])
+    with the same apex; A(x) into the apexless cone of bridge ab when
+    ``one`` is set, and into ab's children lc[ab] and rc[ab]. The search
+    never prunes, so which cones it visits depends on the polygon alone:
+    _visit lists them top-down by node height as packed keys x * (n + 1) + k,
+    k = apex rank + 1 or 0, one sort per level. The values then go bottom-up,
+    a few whole-level expressions per level. They are int64 while the
+    largest value so far proves the next level's sums fit, and object (exact
+    ints) from the first level where they may not, as in yao_solver.
     """
     n, w, n1 = poly.n, poly.weights, poly.n + 1
     fvec = f.vec
-    nb = len(table.bridges)
-    ends = np.fromiter(chain.from_iterable(table.bridges), np.int64, 2 * nb).reshape(nb, 2)
-    U, V = ends[:, 0], ends[:, 1]
-    # find_bridges_linear fills ``s`` in bridge order
-    S = np.fromiter((node for node, _ in table.s.values()), np.int64, nb)
-    rank = np.fromiter(poly.rank, np.int64, n)
-    R = np.empty(n, np.int64)
-    R[rank] = np.arange(n)
-    packed = U * n + V
-    order = np.argsort(packed)
-    sorted_packed = packed[order]
+    U, V, LC, RC = (np.array(a, np.int64) for a in (table.left, table.right, table.lc, table.rc))
+    bridge = U >= 0
+    rank, R = np.array(poly.rank, np.int64), np.array(poly.rank_of, np.int64)
 
-    def bid(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Bridge ids of the pairs (x, y); meaningless where (x, y) is no bridge."""
-        return order[np.minimum(np.searchsorted(sorted_packed, x * n + y), nb - 1)]
-
-    # A(B) in _cone_shape's (p, a, b) form, m = S(a, b)
+    # A(x) in _cone_shape's (p, ab, one) form, with m = ab
+    rows = np.arange(n)
     lu = R[U] < R[V]
-    X = np.where(lu, (U + 1) % n, (V - 1) % n)
     leaf = (V - U) % n == 2
-    one = (X == S) & ~leaf
+    one = np.where(lu, LC < 0, RC < 0) & ~leaf & bridge
     P = np.where(lu, U, V)
-    A = np.where(lu & one, X, U)
-    B = np.where(~lu & one, X, V)
-    AB = np.where(one, bid(A, B), np.arange(nb))
-    M = S[AB]
+    M = np.where(one, np.where(lu, RC, LC), rows)
+    A, B = U[M], V[M]
 
-    # the nodes A(B) = B and Z(B) = nb + B: their children and packed keys
-    child = np.full((2 * nb, 3), -1, np.int64)
-    ch_key = np.zeros((2 * nb, 3), np.int64)
-    rows = np.arange(nb)
-    zrows = nb + rows
-    child[rows, 0] = np.where(one, AB, -1)
-    ch_key[rows, 0] = AB * n1
-    for j, (x, y, ends_at_p) in enumerate(((A, M, P == A), (M, B, P == B)), 1):
-        c = bid(x, y)
-        apexed = ~ends_at_p & ((y - x) % n > 1)
-        child[rows, j] = np.where(leaf | ~(ends_at_p | apexed), -1, np.where(apexed, nb + c, c))
+    # the nodes A(x) = x and Z(x) = n + x: their children and packed keys
+    child = np.full((2 * n, 3), -1, np.int64)
+    ch_key = np.zeros((2 * n, 3), np.int64)
+    zrows = n + rows
+    child[rows, 0] = np.where(one, M, -1)
+    ch_key[rows, 0] = M * n1
+    for j, (c, ends_at_p) in enumerate(((LC[M], P == A), (RC[M], P == B)), 1):
+        apexed = ~ends_at_p & (c >= 0)
+        child[rows, j] = np.where(leaf | ~(ends_at_p | apexed), -1, np.where(apexed, n + c, c))
         ch_key[rows, j] = c * n1 + np.where(apexed, R[P] + 1, 0)
     child[zrows, 0] = rows
     ch_key[zrows, 0] = rows * n1
-    for j, (x, y) in enumerate(((U, S), (S, V)), 1):
-        c = bid(x, y)
-        child[zrows, j] = np.where((y - x) % n > 1, nb + c, -1)
+    for j, c in enumerate((LC, RC), 1):
+        child[zrows, j] = np.where(c >= 0, n + c, -1)
         ch_key[zrows, j] = c * n1
-    root = [(u, v, k) for u, v, k in _root_cones(poly)[1] if (v - u) % n > (1 if k else 2)]
-    ru, rv, rk = np.array(root, np.int64).reshape(-1, 3).T
-    roots = bid(ru, rv) * n1 + np.where(rk > 0, R[rk - 1] + 1, 0)
-    if _width(n, rank, U, V, child, ch_key, roots) < SWEEP_MIN_WIDTH:
+    child[~np.concatenate((bridge, bridge))] = -1  # the two lightest name no bridge
+    root = [(x, k) for x, k, u, v in _root_cones(table)[1] if x >= 0 and (k or (v - u) % n > 2)]
+    rx, rk = np.array(root, np.int64).reshape(-1, 2).T
+    roots = rx * n1 + np.where(rk > 0, R[rk - 1] + 1, 0)
+    if _width(table, child, ch_key, roots) < SWEEP_MIN_WIDTH:
         return None
     spans, kids, keys, runs, pushes = _visit(child, ch_key, roots, n1)
     ncells = len(keys)
 
-    # per-bridge weights and constants: A(B)'s triangle and base children
+    # per-bridge weights and constants: A(x)'s triangle and base children
     tmax = int64_watch_bound(poly, f)
     obj = tmax is not None and 2 * tmax >= INT64_LIMIT
     if obj:
         tmax = None  # object from the start: nothing left to watch
     W = np.array(w, dtype=object if obj else np.int64)
     WR = np.concatenate((W[:1], W[rank]))  # WR[k] = weight of rank k - 1
-    WU, WV, WS = W[U], W[V], W[S]
+    WU, WV = W[U], W[V]
     C1 = np.where(one, fvec(W[A], W[B], W[P]), 0)
-    C2 = np.where(leaf, fvec(WU, W[(U + 1) % n], WV), 0)
+    C2 = np.where(leaf, fvec(WU, W, WV), 0)
     for j, (x, y) in enumerate(((A, M), (M, B)), 1):
         C2 = C2 + np.where(~leaf & (child[rows, j] < 0), fvec(W[x], W[y], W[P]), 0)
-    # Z(B)'s children (u, S) and (S, v) that are single triangles
-    ZL = (child[zrows, 1] < 0).astype(np.int64)
-    ZR = (child[zrows, 2] < 0).astype(np.int64)
-    a_cell = runs[:nb, 0]
+    # Z(x)'s children (u, x) and (x, v) that are single triangles
+    ZL = (LC < 0).astype(np.int64)
+    ZR = (RC < 0).astype(np.int64)
+    a_cell = runs[:n, 0]
 
     # pass 2, up by height
     value = np.zeros(ncells + 1, dtype=W.dtype)  # the last cell, 0, stands for an absent child
@@ -649,32 +636,30 @@ def _sweep(
         if lo == hi:
             continue
         if tmax is not None and 2 * (peak + tmax) >= INT64_LIMIT:
-            value, WR, WU, WV, WS, C1, C2 = (
-                a.astype(object) for a in (value, WR, WU, WV, WS, C1, C2)
+            value, WR, WU, WV, W, C1, C2 = (
+                a.astype(object) for a in (value, WR, WU, WV, W, C1, C2)
             )
             tmax = None
-        b, k = np.divmod(keys[lo:hi], n1)
+        x, k = np.divmod(keys[lo:hi], n1)
         c = hi - lo
         kid = kids[level]
-        wu, wv, ws, wz = WU[b], WV[b], WS[b], WR[k]
+        wu, wv, ws, wz = WU[x], WV[x], W[x], WR[k]
         z = k > 0
-        c1 = np.where(z, fvec(wu, wv, wz), C1[b])
-        c2 = np.where(z, fvec(wu, ws, wz) * ZL[b] + fvec(ws, wv, wz) * ZR[b], C2[b])
+        c1 = np.where(z, fvec(wu, wv, wz), C1[x])
+        c2 = np.where(z, fvec(wu, ws, wz) * ZL[x] + fvec(ws, wv, wz) * ZR[x], C2[x])
         val = value[kid[c : 2 * c]] + value[kid[2 * c :]] + c2
-        kid0 = np.where(z, a_cell[b], kid[:c])  # every cell of Z(B) reads A(B)
-        val = np.where(z | one[b], np.minimum(val, value[kid0] + c1), val)
+        kid0 = np.where(z, a_cell[x], kid[:c])  # every cell of Z(x) reads A(x)
+        val = np.where(z | one[x], np.minimum(val, value[kid0] + c1), val)
         value[lo:hi] = val
         if tmax is not None:
             peak = max(peak, int(val.max()))
 
-    bid_of = dict(zip(packed.tolist(), range(nb)))
     key_view = memoryview(keys)
     rank_of = poly.rank_of
 
     def get(key: int) -> int:
-        bk, k = divmod(key, n1)
-        b = bid_of[bk]
-        node, want = (nb + b, b * n1 + rank_of[k - 1] + 1) if k else (b, b * n1)
+        x, k = divmod(key, n1)
+        node, want = (n + x, x * n1 + rank_of[k - 1] + 1) if k else (x, key)
         i = bisect_left(key_view, want, runs.item(node, 0), runs.item(node, 1))
         if i == len(key_view) or key_view[i] != want:
             raise KeyError(f"cone {key} was not visited")
@@ -688,21 +673,22 @@ def _search(
 ) -> tuple[int, int]:
     """The search as a loop over a work stack; returns (visited, hits).
 
-    Fills ``memo`` with the value of every visited cone by packed key. Each
-    cone is expanded in its (p, a, b) shape: an apexed cone's is written
-    out, an apexless one's comes from _cone_shape (each is visited at most
-    once, so that is at most one call per bridge).
+    Fills ``memo`` with the value of every visited cone by packed key
+    x*(n + 1) + k (x the bridge's S node, k = apex + 1 or 0). Each cone is
+    expanded in its (p, ab, one) shape: an apexed cone's is written out, an
+    apexless one's comes from _cone_shape (each is visited at most once, so
+    that is at most one call per bridge).
     """
     n, w = poly.n, poly.weights
     n1 = n + 1
-    s_of = {u * n + v: node for (u, v), (node, _) in table.s.items()}
+    left, right, lc, rc = table.left, table.right, table.lc, table.rc
     fw = f.fn
     visited = 0
     hits = 0
 
     # the root's non-base cones; base ones are valued by the walk
     work: list = [
-        (u * n + v) * n1 + k for u, v, k in _root_cones(poly)[1] if (v - u) % n > (1 if k else 2)
+        x * n1 + k for x, k, u, v in _root_cones(table)[1] if x >= 0 and (k or (v - u) % n > 2)
     ]
 
     # Work stack: an int is a cone key to expand; a tuple is a combine
@@ -718,37 +704,37 @@ def _search(
                 hits += 1
                 continue
             visited += 1
-            bk, k = divmod(key, n1)
-            u, v = divmod(bk, n)
+            x, k = divmod(key, n1)
             if k:
                 p = k - 1
-                a = u
-                b = v
+                m = x
                 one = True
-            elif (v - u) % n == 2:
+            elif (right[x] - left[x]) % n == 2:
                 # one interior node: a single triangle, no expansion
-                memo[key] = fw(w[u], w[(u + 1) % n], w[v])
+                memo[key] = fw(w[left[x]], w[x], w[right[x]])
                 continue
             else:
-                p, a, b, one = _cone_shape(poly, table, u, v, 0)
-            ab = a * n + b
-            m = s_of[ab]
+                p, m, one = _cone_shape(table, x, 0)
+            a = left[m]
+            b = right[m]
             c2 = 0
             ch2a = ch2b = -1
+            c = lc[m]
             if p == a:
-                ch2a = (a * n + m) * n1
-            elif (m - a) % n == 1:
+                ch2a = c * n1
+            elif c < 0:
                 c2 = fw(w[a], w[m], w[p])
             else:
-                ch2a = (a * n + m) * n1 + p + 1
+                ch2a = c * n1 + p + 1
+            c = rc[m]
             if p == b:
-                ch2b = (m * n + b) * n1
-            elif (b - m) % n == 1:
+                ch2b = c * n1
+            elif c < 0:
                 c2 += fw(w[m], w[b], w[p])
             else:
-                ch2b = (m * n + b) * n1 + p + 1
+                ch2b = c * n1 + p + 1
             if one:
-                ch1 = ab * n1
+                ch1 = m * n1
                 work.append((key, c2, ch2a, ch2b, fw(w[a], w[b], w[p]), ch1))
                 work.append(ch1)
             else:
@@ -814,7 +800,7 @@ def solve_bst(
         visited, hits, get = swept
     else:
         engine = "loop"
-        memo = {} if backend == "hash" else MemoStore(n, (u * n + v for u, v in table.bridges))
+        memo = {} if backend == "hash" else MemoStore(n, table.left)
         visited, hits = _search(poly, table, f, memo)
         get = memo.__getitem__
     opt, edges = reconstruct_triangulation(poly, table, f, get)

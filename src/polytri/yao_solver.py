@@ -24,7 +24,7 @@ import time
 
 import numpy as np
 
-from .bridges import Bridge, BridgeTable, Cone, find_bridges_linear
+from .bridges import BridgeTable, Cone, find_bridges_linear
 from .bst_solver import (
     SolveStats,
     _cone_shape,
@@ -46,7 +46,7 @@ __all__ = ["solve_yao"]
 
 
 def _sweep_scalar(
-    poly: Polygon, table: BridgeTable, bridges: list[Bridge], f: TriangleWeightFn
+    poly: Polygon, table: BridgeTable, order: list[int], f: TriangleWeightFn
 ) -> dict[tuple[int, int, int | None], int]:
     w = poly.weights
     fw = f.fn
@@ -58,39 +58,35 @@ def _sweep_scalar(
             return cone_value_base(poly, c, f)
         return value[(c.u, c.v, c.apex)]
 
-    for u, v in bridges:
+    for x in order:
+        u, v = table.left[x], table.right[x]
         m = min(rank_of[u], rank_of[v])
         for apex in (None, *(rank[r] for r in range(m))):
             cone = Cone(u, v, apex)
             if is_base_cone(poly, cone):
                 value[(u, v, apex)] = cone_value_base(poly, cone, f)
                 continue
-            best: int | None = None
-            for br in expand_cone(cone, table):
-                bv = 0
-                for a, b, c in br.triangles:
-                    bv += fw(w[a], w[b], w[c])
-                for ch in br.children:
-                    bv += val_of(ch)
-                if best is None or bv < best:
-                    best = bv
-            assert best is not None
-            value[(u, v, apex)] = best
+            value[(u, v, apex)] = min(
+                sum(fw(w[a], w[b], w[c]) for a, b, c in br.triangles)
+                + sum(val_of(ch) for ch in br.children)
+                for br in expand_cone(cone, table)
+            )
     return value
 
 
 def _sweep_vector(
-    poly: Polygon, table: BridgeTable, bridges: list[Bridge], f: TriangleWeightFn
-) -> tuple[dict[Bridge, int], dict[Bridge, np.ndarray]]:
+    poly: Polygon, table: BridgeTable, order: list[int], f: TriangleWeightFn
+) -> tuple[list[int], list[np.ndarray]]:
     n, w = poly.n, poly.weights
     fw = f.fn
     fvec = f.vec
-    assert fvec is not None
+    left, right, lc, rc = table.left, table.right, table.lc, table.rc
     rank, rank_of = poly.rank, poly.rank_of
     W = np.array(w, dtype=np.int64)
     WR = W[np.array(rank, dtype=np.int64)]  # weights in rank order
-    v0: dict[Bridge, int] = {}
-    vz: dict[Bridge, np.ndarray] = {}
+    # per S node: the bridge's apexless value and its row of apexed values by apex rank
+    v0: list[int] = [0] * n
+    vz: list[np.ndarray | None] = [None] * n
     # A bridge's row is at most v0 + tmax, so top, the running maximum of that,
     # bounds every row and 2 * top every sum a row takes part in. From the
     # first bridge where that reaches 2**63, apex weights, and so all later
@@ -99,46 +95,42 @@ def _sweep_vector(
     tmax = int64_watch_bound(poly, f)
     top = 0
 
-    def child(a: int, b: int, p: int) -> int:
-        """Value of cone (a, b) with apex p, apexless when p is a or b.
+    def child(x: int, p: int, a: int, b: int) -> int:
+        """Value of cone (a, b), S node x (-1: one side), apex p unless p is a or b.
 
         An apexless child spans at least two sides and was swept before its
         parent, so v0 holds it.
         """
         if p == a or p == b:
-            return v0[(a, b)]
-        if (b - a) % n == 1:
+            return v0[x]
+        if x < 0:
             return fw(w[a], w[b], w[p])
-        return int(vz[(a, b)][rank_of[p]])
+        return int(vz[x][rank_of[p]])
 
-    for u, v in bridges:
+    for x in order:
+        u, v = left[x], right[x]
         if (v - u) % n == 2:
-            v0[(u, v)] = fw(w[u], w[(u + 1) % n], w[v])
+            v0[x] = fw(w[u], w[x], w[v])
         else:
-            p, a, b, one = _cone_shape(poly, table, u, v, 0)
-            m = table.s_node(a, b)
-            val = child(a, m, p) + child(m, b, p)
+            p, m, one = _cone_shape(table, x, 0)
+            a, b = left[m], right[m]
+            val = child(lc[m], p, a, m) + child(rc[m], p, m, b)
             if one:
-                val = min(val, fw(w[a], w[b], w[p]) + v0[(a, b)])
-            v0[(u, v)] = val
-        m = min(rank_of[u], rank_of[v])
-        if m:
+                val = min(val, fw(w[a], w[b], w[p]) + v0[m])
+            v0[x] = val
+        k = min(rank_of[u], rank_of[v])
+        if k:
             if tmax is not None:
-                top = max(top, v0[(u, v)] + tmax)
+                top = max(top, v0[x] + tmax)
                 if 2 * top >= INT64_LIMIT:
                     WR, tmax = WR.astype(object), None
-            wz = WR[:m]
-            x2 = table.s_node(u, v)
-            with_bridge = fvec(w[u], w[v], wz) + v0[(u, v)]
-            if (x2 - u) % n == 1:
-                left = fvec(w[u], w[x2], wz)
-            else:
-                left = vz[(u, x2)][:m]
-            if (v - x2) % n == 1:
-                right = fvec(w[x2], w[v], wz)
-            else:
-                right = vz[(x2, v)][:m]
-            vz[(u, v)] = np.minimum(with_bridge, left + right)
+            wz = WR[:k]
+            with_bridge = fvec(w[u], w[v], wz) + v0[x]
+            c = lc[x]
+            row_l = fvec(w[u], w[x], wz) if c < 0 else vz[c][:k]
+            c = rc[x]
+            row_r = fvec(w[x], w[v], wz) if c < 0 else vz[c][:k]
+            vz[x] = np.minimum(with_bridge, row_l + row_r)
     return v0, vz
 
 
@@ -167,23 +159,23 @@ def solve_yao(
     if engine == "vector" and f.vec is None:
         raise OverflowError("vector engine refused: weight function has no vectorized form")
 
-    bridges = sorted(table.bridges, key=lambda br: (br[1] - br[0]) % n)
+    left, right = table.left, table.right
+    order = sorted((x for x in range(n) if left[x] >= 0), key=lambda x: (right[x] - left[x]) % n)
     n1 = n + 1
     if engine == "scalar":
-        value = _sweep_scalar(poly, table, bridges, f)
+        value = _sweep_scalar(poly, table, order, f)
 
         def get(key: int) -> int:
-            bk, k = divmod(key, n1)
-            return value[(*divmod(bk, n), k - 1 if k else None)]
+            x, k = divmod(key, n1)
+            return value[(left[x], right[x], k - 1 if k else None)]
 
     else:
-        v0, vz = _sweep_vector(poly, table, bridges, f)
+        v0, vz = _sweep_vector(poly, table, order, f)
         rank_of = poly.rank_of
 
         def get(key: int) -> int:
-            bk, k = divmod(key, n1)
-            bridge = divmod(bk, n)
-            return v0[bridge] if k == 0 else int(vz[bridge][rank_of[k - 1]])
+            x, k = divmod(key, n1)
+            return v0[x] if k == 0 else int(vz[x][rank_of[k - 1]])
 
     opt, edges = reconstruct_triangulation(poly, table, f, get)
     stats = SolveStats(total, 0, total, time.perf_counter_ns() - t0, engine, engine)

@@ -303,10 +303,11 @@ def test_criterion_7_bridge_machinery():
         poly = Polygon(tuple(rng.randint(1, 10**6) for _ in range(n)))
         walk = find_bridges_walk(poly)
         linear = find_bridges_linear(poly)
+        s_walk, s_linear = ({uv: t.s_node(*uv) for uv in t.bridges} for t in (walk, linear))
         ok = (
             walk.bridges == linear.bridges
-            and walk.s == linear.s == bridges_by_definition(poly)
-            and len(walk) <= n - 1
+            and s_walk == s_linear == {uv: s for uv, (s, _) in bridges_by_definition(poly).items()}
+            and len(walk) == len(linear) == n - 2
         )
         bad += not ok
     report(7, bad == 0, f"{bad}/500 polygons disagree across walk, linear, definition")

@@ -19,29 +19,44 @@ from polytri import (
 
 
 def tables_equal(a, b):
-    return a.bridges == b.bridges and a.s == b.s
+    return (a.left, a.right, a.lc, a.rc) == (b.left, b.right, b.lc, b.rc)
+
+
+def s_nodes(table):
+    return {(u, v): table.s_node(u, v) for u, v in table.bridges}
+
+
+def s_by_definition(poly):
+    return {uv: s for uv, (s, _) in bridges_by_definition(poly).items()}
+
+
+def nearest_lighter(poly, x, step):
+    """The first node from x in direction step (+1 clockwise) lighter than x, or None."""
+    n, w = poly.n, poly.weights
+    for i in range(1, n):
+        t = (x + step * i) % n
+        if (w[t], t) < (w[x], x):
+            return t
+    return None
 
 
 class TestFinders:
     def test_quad_golden(self):
         table = find_bridges_walk(Polygon((1, 2, 5, 3)))
         assert table.bridges == ((1, 3), (1, 0))
-        assert table.s == {(1, 3): (2, 5), (1, 0): (3, 3)}
+        assert s_nodes(table) == {(1, 3): 2, (1, 0): 3}
+        assert (table.left, table.right) == ([-1, -1, 1, 1], [-1, -1, 3, 0])
+        assert (table.lc, table.rc) == ([-1, -1, -1, 2], [-1, 3, -1, -1])
 
     def test_staircase_golden(self):
         table = find_bridges_linear(gen_staircase(3))
         assert table.bridges == ((1, 5), (1, 0), (2, 4), (2, 5))
-        assert table.s == {
-            (1, 5): (2, 4),
-            (1, 0): (5, 3),
-            (2, 4): (3, 6),
-            (2, 5): (4, 5),
-        }
+        assert s_nodes(table) == {(1, 5): 2, (1, 0): 5, (2, 4): 3, (2, 5): 4}
 
     def test_triangle_has_one_bridge(self):
         table = find_bridges_walk(Polygon((2, 3, 4)))
         assert table.bridges == ((1, 0),)
-        assert table.s == {(1, 0): (2, 4)}
+        assert s_nodes(table) == {(1, 0): 2}
 
     def test_finders_agree_with_definition(self):
         rng = random.Random(41)
@@ -51,7 +66,7 @@ class TestFinders:
             walk = find_bridges_walk(poly)
             linear = find_bridges_linear(poly)
             assert tables_equal(walk, linear)
-            assert walk.s == bridges_by_definition(poly)
+            assert s_nodes(walk) == s_by_definition(poly)
 
     @given(st.lists(st.integers(min_value=1, max_value=12), min_size=3, max_size=24))
     @settings(max_examples=150, deadline=None)
@@ -59,7 +74,44 @@ class TestFinders:
         poly = Polygon(tuple(weights))
         walk = find_bridges_walk(poly)
         assert tables_equal(walk, find_bridges_linear(poly))
-        assert walk.s == bridges_by_definition(poly)
+        assert s_nodes(walk) == s_by_definition(poly)
+
+    @given(
+        st.sampled_from([3, 10**6]).flatmap(
+            lambda hi: st.lists(st.integers(1, hi), min_size=3, max_size=60)
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_table_is_the_nearest_lighter_neighbours(self, weights):
+        """Each node but the two lightest is S of the bridge between its
+        nearest lighter neighbours; lc and rc are S of its half-arcs."""
+        poly = Polygon(tuple(weights))
+        n = poly.n
+        oracle = s_by_definition(poly)
+        for finder in (find_bridges_walk, find_bridges_linear):
+            table = finder(poly)
+            assert len(table) == n - 2 == len(oracle)
+            for x in range(n):
+                u, v = nearest_lighter(poly, x, -1), nearest_lighter(poly, x, 1)
+                if u is None:  # the lightest node
+                    assert (table.left[x], table.right[x], table.lc[x], table.rc[x]) == (-1,) * 4
+                    continue
+                if u == v:  # the second lightest: both neighbours are the lightest
+                    assert (table.left[x], table.right[x]) == (-1, -1)
+                else:
+                    assert (table.left[x], table.right[x]) == (u, v)
+                    assert oracle[(u, v)] == x
+                assert table.lc[x] == oracle.get((u, x), -1)
+                assert table.rc[x] == oracle.get((x, v), -1)
+                assert (table.lc[x] < 0) == ((x - u) % n == 1)
+                assert (table.rc[x] < 0) == ((v - x) % n == 1)
+            for u in range(n):
+                for v in range(n):
+                    if (u, v) in oracle:
+                        assert table.s_node(u, v) == oracle[(u, v)]
+                    else:
+                        with pytest.raises(KeyError):
+                            table.s_node(u, v)
 
     def test_structural_properties(self):
         rng = random.Random(43)
@@ -67,7 +119,7 @@ class TestFinders:
             n = rng.randint(3, 40)
             poly = Polygon(tuple(rng.randint(1, 10**6) for _ in range(n)))
             table = find_bridges_walk(poly)
-            assert len(table) <= n - 1
+            assert len(table) == n - 2
             # canonical order: by u, then clockwise arc length
             keys = [(u, (v - u) % n) for u, v in table.bridges]
             assert keys == sorted(keys)
@@ -80,7 +132,7 @@ class TestFinders:
                 assert span >= 2
                 arc = [(u + k) % n for k in range(1, span)]
                 lightest = min(arc, key=lambda t: (poly.weights[t], t))
-                assert table.s[(u, v)] == (lightest, poly.weights[lightest])
+                assert table.s_node(u, v) == lightest
 
 
 class TestCones:
@@ -106,7 +158,7 @@ class TestCones:
             cones = enumerate_cones(poly, table)
             assert len(cones) == table.total_cones()
             for cone in cones:
-                assert (cone.u, cone.v) in table.s
+                table.s_node(cone.u, cone.v)  # KeyError unless a bridge
                 if cone.apex is not None:
                     # apex strictly lighter than both endpoints
                     rank_of = poly.rank_of

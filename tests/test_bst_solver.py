@@ -273,25 +273,28 @@ class TestMemoStore:
         solve_bst(poly, TriangleWeightFn.additive(), backend="hash")  # no cap on the dict
 
     def test_dense_round_trip(self):
-        n = 6
-        bk = 1 * n + 5
-        store = MemoStore(n, (bk,))
-        key = bk * (n + 1) + 0
+        poly = Polygon((1, 2, 5, 3, 6, 4))
+        table = find_bridges_linear(poly)
+        n, x = poly.n, table.s_node(1, 3)  # row of the bridge (1, 3), S node 2
+        store = MemoStore(n, table.left)
+        key = x * (n + 1) + 0
         assert key not in store
         store[key] = 7
-        store[key + 3] = 9  # same bridge row, apex 2
-        assert key in store and key + 1 not in store
-        assert (store[key], store[key + 3]) == (7, 9)
+        store[key + 1] = 9  # same bridge row, apex 0
+        assert key in store and key + 2 not in store
+        assert (store[key], store[key + 1]) == (7, 9)
         assert len(store) == 2
         with pytest.raises(KeyError, match="empty"):
-            store[key + 1]
+            store[key + 2]
         with pytest.raises(SolverInvariantError, match="written twice"):
             store[key] = 7
 
     def test_dense_rejects_non_bridge_rows(self):
-        n = 6
-        store = MemoStore(n, (1 * n + 5,))
-        key = (2 * n + 4) * (n + 1)
+        poly = Polygon((1, 2, 5, 3, 6, 4))
+        table = find_bridges_linear(poly)
+        n = poly.n
+        store = MemoStore(n, table.left)
+        key = poly.rank[1] * (n + 1)  # the second-lightest node is no bridge's S node
         with pytest.raises(KeyError, match="no bridge"):
             key in store
         with pytest.raises(KeyError, match="no bridge"):

@@ -154,7 +154,7 @@ def test_get_refuses_unvisited_cones():
     with mock.patch.object(bst_solver, "SWEEP_MIN_WIDTH", 0):
         _, _, get = _sweep(poly, table, FNS["add"])
     n1 = poly.n + 1
-    census = {(u * poly.n + v) * n1 + k for u, v in table.bridges for k in range(poly.n + 1)}
+    census = {x * n1 + k for x in range(poly.n) if table.left[x] >= 0 for k in range(n1)}
     for key in sorted(census - set(memo))[:200]:
         with pytest.raises(KeyError):
             get(key)

@@ -173,6 +173,17 @@ class TestBridges:
         assert code == 0
         assert out == "1 3 2\n1 0 3\n"
 
+    @pytest.mark.parametrize("finder", ["walk", "linear"])
+    def test_tie_heavy_golden(self, capsys, tmp_path, finder):
+        """Equal weights go by node index; both finders print n - 2 lines in one order."""
+        path = tmp_path / "ties.txt"
+        path.write_text("12\n2 1 2 1 3 1 2 2 3 1 1 2\n")
+        code, out, _ = run_cli(capsys, "bridges", "--input", str(path), "--finder", finder)
+        assert code == 0
+        assert out == (
+            "1 3 2\n3 5 4\n3 1 5\n5 9 6\n5 1 9\n6 9 7\n7 9 8\n9 1 10\n10 0 11\n10 1 0\n"
+        )
+
 
 class TestBench:
     def test_csv_to_stdout(self, capsys):
