@@ -18,7 +18,6 @@ from .bridges import (
 )
 from .bst_solver import (
     Branch,
-    MemoStore,
     SolveStats,
     cone_value_base,
     expand_cone,
@@ -80,7 +79,6 @@ __all__ = [
     "Edge",
     "HeuristicReport",
     "InvalidTriangulationError",
-    "MemoStore",
     "MonotonicityError",
     "Polygon",
     "SolveStats",

@@ -14,26 +14,26 @@ cone's key is x*(n + 1) + k, x the S node that names its bridge
 ``expand_cone`` and ``expand_root`` are the public, self-describing form of
 the rules. Every cone expansion also has one compact shape, (p, ab, one),
 stated once in ``_cone_shape``. ``solve_bst`` runs that shape in one of two
-engines. The loop goes over a flattened work stack of packed keys and one
-memo interface: a dict (backend "hash") or the write-once ``MemoStore``
-(backend "dense"); it takes each apexless cone's shape from
-``_cone_shape``. The sweep lists the same visited cones level by level in
-numpy and values them bottom-up, since which cones the search visits
-depends on the polygon alone. The sweep pays a few numpy calls per level of
-the cone graph, so hash solves take it only from ``SWEEP_MIN_N`` nodes on,
-when the weight function has a ``vec`` and the sweep expects at least
-``SWEEP_MIN_WIDTH`` cones per level (``_width`` estimates that from the
-bridge nesting before any level is run); the loop runs everything else,
-including sorted or tie-heavy polygons, whose cone graph is n levels deep
-with a few cones on each. ``reconstruct_triangulation`` evaluates the root
-and walks one winning edge set over the solved values by packed key, for
-both engines and for yao_solver's sweep; it calls ``_cone_shape``, as does
-yao_solver's vector sweep. "Lighter" is always the polygon's one total
-order, read as ``rank_of[a] < rank_of[b]``. A stored value that no branch
-reproduces raises SolverInvariantError. The tests cross-check the packed
-forms against the public rules: cone values against a recursion over
-``expand_cone``, witnesses against a re-expansion of winning cones, and the
-sweep against the loop cone by cone.
+engines. The loop goes over a flattened work stack of packed keys and
+memoizes in a dict (backend "hash") or a flat list indexed by the key
+(backend "dense"); it takes each apexless cone's shape from _cone_shape. The
+sweep lists the same visited cones level by level in numpy and values them
+bottom-up, since which cones the search visits depends on the polygon alone.
+The sweep pays a few numpy calls per level of the cone graph, so hash solves
+take it only from ``SWEEP_MIN_N`` nodes on, when the weight function has a
+``vec`` and the sweep expects at least ``SWEEP_MIN_WIDTH`` cones per level
+(``_width`` estimates that from the bridge nesting before any level is run);
+the loop runs everything else, including sorted or tie-heavy polygons, whose
+cone graph is n levels deep with a few cones on each.
+``reconstruct_triangulation`` evaluates the root and walks one winning edge
+set over the solved values by packed key, for both engines and for
+yao_solver's sweep; it calls ``_cone_shape``, as does yao_solver's vector
+sweep. "Lighter" is always the polygon's one total order, read as
+``rank_of[a] < rank_of[b]``. A stored value that no branch reproduces raises
+SolverInvariantError. The tests cross-check the packed forms against the
+public rules: cone values against a recursion over ``expand_cone``,
+witnesses against a re-expansion of winning cones, and the sweep against the
+loop cone by cone.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -58,13 +58,12 @@ from .core import (
     norm_edge,
 )
 
-DENSE_CAP = 2000  # the largest n the dense memo accepts: its rows cost O(n^2) overall
+DENSE_CAP = 2000  # the largest n the dense memo accepts: its list holds n * (n + 1) cells
 SWEEP_MIN_N = 800  # from here on, hash solves with a vec may take the sweep (measured crossover)
 SWEEP_MIN_WIDTH = 200  # the cones per level from which the sweep beats the loop (measured)
 
 __all__ = [
     "Branch",
-    "MemoStore",
     "SolveStats",
     "cone_value_base",
     "expand_cone",
@@ -231,60 +230,6 @@ def expand_root(poly: Polygon) -> list[Branch]:
             (),
         )
     ]
-
-
-class MemoStore:
-    """The dense cone-value memo: a write-once mapping over packed cone keys.
-
-    Keys are x*(n + 1) + k: the cone of the bridge whose S node is x, with
-    apex k - 1 (k = 0: none). Each S node owns one (n + 1)-slot row,
-    allocated on first use, with -1 as the empty sentinel; row x is valid
-    iff left[x] >= 0 (BridgeTable.left). It supports ``in``, ``[]``, ``[]=``
-    and ``len`` like the dict that the hash backend uses instead. A key
-    whose row is not a bridge's raises KeyError, which keeps the solver
-    honest about only ever memoizing cones of real bridges; so does reading
-    an empty cell. A second write raises SolverInvariantError. Rows cost
-    O(n) each and O(n^2) overall, so the store refuses polygons larger than
-    DENSE_CAP.
-    """
-
-    __slots__ = ("n1", "rows", "left")
-
-    def __init__(self, n: int, left: Sequence[int]):
-        if n > DENSE_CAP:
-            raise ValueError(
-                f"dense memo refused for n={n} > {DENSE_CAP}; use the hash backend"
-            )
-        self.n1 = n + 1
-        self.rows: dict[int, list[int]] = {}
-        self.left = left
-
-    def _new_row(self, x: int) -> list[int]:
-        if self.left[x] < 0:
-            raise KeyError(f"no bridge has S node {x}")
-        row = self.rows[x] = [-1] * self.n1
-        return row
-
-    def __contains__(self, key: int) -> bool:
-        x, k = divmod(key, self.n1)
-        return (self.rows.get(x) or self._new_row(x))[k] >= 0
-
-    def __getitem__(self, key: int) -> int:
-        x, k = divmod(key, self.n1)
-        val = (self.rows.get(x) or self._new_row(x))[k]
-        if val < 0:
-            raise KeyError(f"memo cell {key} is empty")
-        return val
-
-    def __setitem__(self, key: int, value: int) -> None:
-        x, k = divmod(key, self.n1)
-        row = self.rows.get(x) or self._new_row(x)
-        if row[k] >= 0:
-            raise SolverInvariantError(f"memo cell {key} written twice")
-        row[k] = value
-
-    def __len__(self) -> int:
-        return sum(1 for row in self.rows.values() for v in row if v >= 0)
 
 
 def _root_cones(table: BridgeTable) -> tuple[tuple[Edge, ...], list[tuple[int, int, int, int]]]:
@@ -568,7 +513,7 @@ def _sweep(
     ``one`` is set, and into ab's children lc[ab] and rc[ab]. The search
     never prunes, so which cones it visits depends on the polygon alone:
     _visit lists them top-down by node height as packed keys x * (n + 1) + k,
-    k = apex rank + 1 or 0, one sort per level. The values then go bottom-up,
+    k = apex + 1 or 0, one sort per level. The values then go bottom-up,
     a few whole-level expressions per level. They are int64 while the
     largest value so far proves the next level's sums fit, and object (exact
     ints) from the first level where they may not, as in yao_solver.
@@ -577,7 +522,7 @@ def _sweep(
     fvec = f.vec
     U, V, LC, RC = (np.array(a, np.int64) for a in (table.left, table.right, table.lc, table.rc))
     bridge = U >= 0
-    rank, R = np.array(poly.rank, np.int64), np.array(poly.rank_of, np.int64)
+    R = np.array(poly.rank_of, np.int64)
 
     # A(x) in _cone_shape's (p, ab, one) form, with m = ab
     rows = np.arange(n)
@@ -597,16 +542,15 @@ def _sweep(
     for j, (c, ends_at_p) in enumerate(((LC[M], P == A), (RC[M], P == B)), 1):
         apexed = ~ends_at_p & (c >= 0)
         child[rows, j] = np.where(leaf | ~(ends_at_p | apexed), -1, np.where(apexed, n + c, c))
-        ch_key[rows, j] = c * n1 + np.where(apexed, R[P] + 1, 0)
+        ch_key[rows, j] = c * n1 + np.where(apexed, P + 1, 0)
     child[zrows, 0] = rows
     ch_key[zrows, 0] = rows * n1
     for j, c in enumerate((LC, RC), 1):
         child[zrows, j] = np.where(c >= 0, n + c, -1)
         ch_key[zrows, j] = c * n1
     child[~np.concatenate((bridge, bridge))] = -1  # the two lightest name no bridge
-    root = [(x, k) for x, k, u, v in _root_cones(table)[1] if x >= 0 and (k or (v - u) % n > 2)]
-    rx, rk = np.array(root, np.int64).reshape(-1, 2).T
-    roots = rx * n1 + np.where(rk > 0, R[rk - 1] + 1, 0)
+    root = [x * n1 + k for x, k, u, v in _root_cones(table)[1] if x >= 0 and (k or (v - u) % n > 2)]
+    roots = np.array(root, np.int64)
     if _width(table, child, ch_key, roots) < SWEEP_MIN_WIDTH:
         return None
     spans, kids, keys, runs, pushes = _visit(child, ch_key, roots, n1)
@@ -618,7 +562,6 @@ def _sweep(
     if obj:
         tmax = None  # object from the start: nothing left to watch
     W = np.array(w, dtype=object if obj else np.int64)
-    WR = np.concatenate((W[:1], W[rank]))  # WR[k] = weight of rank k - 1
     WU, WV = W[U], W[V]
     C1 = np.where(one, fvec(W[A], W[B], W[P]), 0)
     C2 = np.where(leaf, fvec(WU, W, WV), 0)
@@ -636,14 +579,12 @@ def _sweep(
         if lo == hi:
             continue
         if tmax is not None and 2 * (peak + tmax) >= INT64_LIMIT:
-            value, WR, WU, WV, W, C1, C2 = (
-                a.astype(object) for a in (value, WR, WU, WV, W, C1, C2)
-            )
+            value, WU, WV, W, C1, C2 = (a.astype(object) for a in (value, WU, WV, W, C1, C2))
             tmax = None
         x, k = np.divmod(keys[lo:hi], n1)
         c = hi - lo
         kid = kids[level]
-        wu, wv, ws, wz = WU[x], WV[x], W[x], WR[k]
+        wu, wv, ws, wz = WU[x], WV[x], W[x], W[k - 1]  # apexless (k = 0): masked by z
         z = k > 0
         c1 = np.where(z, fvec(wu, wv, wz), C1[x])
         c2 = np.where(z, fvec(wu, ws, wz) * ZL[x] + fvec(ws, wv, wz) * ZR[x], C2[x])
@@ -655,13 +596,13 @@ def _sweep(
             peak = max(peak, int(val.max()))
 
     key_view = memoryview(keys)
-    rank_of = poly.rank_of
 
     def get(key: int) -> int:
         x, k = divmod(key, n1)
-        node, want = (n + x, x * n1 + rank_of[k - 1] + 1) if k else (x, key)
-        i = bisect_left(key_view, want, runs.item(node, 0), runs.item(node, 1))
-        if i == len(key_view) or key_view[i] != want:
+        node = n + x if k else x
+        hi = runs.item(node, 1)
+        i = bisect_left(key_view, key, runs.item(node, 0), hi)
+        if i == hi or key_view[i] != key:
             raise KeyError(f"cone {key} was not visited")
         return value.item(i)
 
@@ -669,22 +610,23 @@ def _sweep(
 
 
 def _search(
-    poly: Polygon, table: BridgeTable, f: TriangleWeightFn, memo: dict[int, int] | MemoStore
+    poly: Polygon, table: BridgeTable, f: TriangleWeightFn, memo: dict[int, int] | list[int | None]
 ) -> tuple[int, int]:
     """The search as a loop over a work stack; returns (visited, hits).
 
-    Fills ``memo`` with the value of every visited cone by packed key
-    x*(n + 1) + k (x the bridge's S node, k = apex + 1 or 0). Each cone is
-    expanded in its (p, ab, one) shape: an apexed cone's is written out, an
-    apexless one's comes from _cone_shape (each is visited at most once, so
-    that is at most one call per bridge).
+    Fills ``memo`` (a dict, or a list of n * (n + 1) Nones, read alike: None
+    for a cone not stored yet) by packed key x*(n + 1) + k (x the bridge's S
+    node, k = apex + 1 or 0). Each cone is expanded in its (p, ab, one)
+    shape: an apexed cone's is written out, an apexless one's comes from
+    _cone_shape (each is visited at most once, so that is at most one call
+    per bridge).
     """
     n, w = poly.n, poly.weights
     n1 = n + 1
     left, right, lc, rc = table.left, table.right, table.lc, table.rc
     fw = f.fn
-    visited = 0
-    hits = 0
+    lookup = memo.get if type(memo) is dict else memo.__getitem__
+    visited = hits = 0
 
     # the root's non-base cones; base ones are valued by the walk
     work: list = [
@@ -700,23 +642,20 @@ def _search(
         item = work.pop()
         if type(item) is int:
             key = item
-            if key in memo:
+            if lookup(key) is not None:
                 hits += 1
                 continue
             visited += 1
             x, k = divmod(key, n1)
             if k:
-                p = k - 1
-                m = x
-                one = True
+                p, m, one = k - 1, x, True
             elif (right[x] - left[x]) % n == 2:
                 # one interior node: a single triangle, no expansion
                 memo[key] = fw(w[left[x]], w[x], w[right[x]])
                 continue
             else:
                 p, m, one = _cone_shape(table, x, 0)
-            a = left[m]
-            b = right[m]
+            a, b = left[m], right[m]
             c2 = 0
             ch2a = ch2b = -1
             c = lc[m]
@@ -747,16 +686,16 @@ def _search(
             val = item[1]
             a = item[2]
             if a >= 0:
-                val += memo[a]
+                val += lookup(a)
             a = item[3]
             if a >= 0:
-                val += memo[a]
+                val += lookup(a)
             if len(item) == 6:
-                alt = item[4] + memo[item[5]]
+                alt = item[4] + lookup(item[5])
                 if alt < val:
                     val = alt
             key = item[0]
-            if key in memo:
+            if lookup(key) is not None:
                 raise SolverInvariantError(f"memo cell {key} written twice")
             memo[key] = val
 
@@ -775,9 +714,9 @@ def solve_bst(
     few distinct cones (staircase polygons being the canonical family) the
     visited count is far below the quadratic census.
 
-    backend selects the memo: "hash" is a dict, "dense" a MemoStore, which
-    refuses n > DENSE_CAP. Two engines run the search and agree in value,
-    edges, visited_cones and memo_hits; stats.engine names the one that
+    backend selects the memo: "hash" is a dict, "dense" a list indexed by
+    packed key, which refuses n > DENSE_CAP. Two engines run the search and
+    agree in value, edges, visited_cones and memo_hits; stats.engine names the one that
     ran. A hash solve of n >= SWEEP_MIN_N nodes whose weight function has a
     ``vec`` takes the numpy sweep (exact past int64 like yao_solver's vector
     engine) when it expects at least SWEEP_MIN_WIDTH cones per level of its
@@ -800,9 +739,20 @@ def solve_bst(
         visited, hits, get = swept
     else:
         engine = "loop"
-        memo = {} if backend == "hash" else MemoStore(n, table.left)
+        if backend == "hash":
+            memo = {}
+            get = memo.__getitem__
+        elif n > DENSE_CAP:
+            raise ValueError(f"dense memo refused for n={n} > {DENSE_CAP}; use the hash backend")
+        else:
+            memo = [None] * (n * (n + 1))
+
+            def get(key: int) -> int:
+                if (val := memo[key]) is None:
+                    raise KeyError(f"memo cell {key} is empty")
+                return val
+
         visited, hits = _search(poly, table, f, memo)
-        get = memo.__getitem__
     opt, edges = reconstruct_triangulation(poly, table, f, get)
     stats = SolveStats(visited, hits, total, time.perf_counter_ns() - t0, backend, engine)
     return opt, Triangulation(edges, opt), stats

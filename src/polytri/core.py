@@ -12,6 +12,7 @@ matrix-chain mapping through ``list_triangles``.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -41,6 +42,17 @@ class SolverInvariantError(ValueError):
 
 def norm_edge(a: int, b: int) -> Edge:
     return (a, b) if a < b else (b, a)
+
+
+def as_ints(values: Iterable, what: str) -> tuple[int, ...]:
+    """Python ints from Python or numpy integers; ValueError naming any other value."""
+    out = []
+    for i, v in enumerate(values):
+        try:
+            out.append(operator.index(v))
+        except TypeError:
+            raise ValueError(f"{what} {i} is not an integer: {v!r}") from None
+    return tuple(out)
 
 
 def int64_safe(poly: "Polygon", f: "TriangleWeightFn") -> bool:
@@ -97,7 +109,7 @@ class Polygon:
     rank_of: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        ws = tuple(int(w) for w in self.weights)
+        ws = as_ints(self.weights, "weight of node")
         object.__setattr__(self, "weights", ws)
         n = len(ws)
         object.__setattr__(self, "n", n)
@@ -194,8 +206,8 @@ class TriangleWeightFn:
         f = self.fn
         triples: list[tuple[int, int, int]] = []
         values: list[int] = []
-        # f(1,1,1) is the global minimum under monotonicity; solvers rely on
-        # non-negative values (dense memo cells use -1 as the empty sentinel)
+        # f(1,1,1) is the global minimum under monotonicity; the vector engines'
+        # int64 watches bound a sum by the largest value so far, which needs f >= 0
         if f(1, 1, 1) < 0:
             raise MonotonicityError(f"{self.kind} weight fn is negative at (1, 1, 1)")
         for _ in range(1000):

@@ -18,6 +18,7 @@ from .core import (
     Edge,
     Polygon,
     Triangulation,
+    as_ints,
     list_triangles,
 )
 
@@ -31,7 +32,7 @@ class ChainDims:
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        ds = tuple(int(d) for d in self.dims)
+        ds = as_ints(self.dims, "dimension")
         object.__setattr__(self, "dims", ds)
         if len(ds) < 2:
             raise ValueError(f"a chain needs at least 2 dimensions, got {len(ds)}")

@@ -1,0 +1,119 @@
+"""Digest every exact solver's output over a fixed corpus, for refactor identity checks.
+
+Run from the repository root, on two checkouts, and compare the lines:
+
+    PYTHONPATH=src python tests/identity_digest.py
+
+The corpus is test_bst_sweep's (300 random polygons from
+``random.Random(2021)``, n 3..300, weights to 5, 100 and 10**4, and the
+staircases h = 2, 3, 10, 50, 200) plus sorted, equal, zigzag and random
+polygons of n = 3000, each under mult, add and custom (xyz + x + y + z).
+Each part solves it one way and hashes, per solve, the optimum, the sorted
+edges, visited_cones, memo_hits, total_cones, backend and engine:
+
+- bst-auto: solve_bst as dispatched;
+- loop: solve_bst with SWEEP_MIN_N patched high, so the loop runs;
+- dense: solve_bst(backend="dense"), or its refusal message past DENSE_CAP;
+- sweep: solve_bst with SWEEP_MIN_N and SWEEP_MIN_WIDTH patched to 0;
+- yao-scalar, yao-vector: solve_yao with that engine.
+
+The part "bridges" hashes both finders' tables as sorted (u, v, S) triples.
+The script prints one sha256 (first 16 hex digits) per part and one over
+all parts. pytest does not collect it (no ``test_`` prefix); it takes about
+three and a half minutes on a 2-core host.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+import sys
+from unittest import mock
+
+from polytri import (
+    Polygon,
+    TriangleWeightFn,
+    bst_solver,
+    find_bridges_linear,
+    find_bridges_walk,
+    gen_random,
+    gen_staircase,
+    solve_bst,
+    solve_yao,
+)
+
+FNS = [
+    TriangleWeightFn.multiplicative(),
+    TriangleWeightFn.additive(),
+    TriangleWeightFn.product_plus_sum(),
+]
+
+
+def corpus():
+    rng = random.Random(2021)
+    for i in range(300):
+        n = rng.randint(3, 300)
+        hi = (5, 100, 10**4)[i % 3]
+        yield Polygon(tuple(rng.randint(1, hi) for _ in range(n)))
+    for half_n in (2, 3, 10, 50, 200):
+        yield gen_staircase(half_n)
+    yield Polygon(tuple(range(1, 3001)))
+    yield Polygon((7,) * 3000)
+    yield Polygon(tuple((i % 2) * 3000 + i + 1 for i in range(3000)))
+    yield gen_random(3000, 1)
+
+
+def outcome(solve, poly, f) -> str:
+    try:
+        opt, tri, st = solve(poly, f)
+    except ValueError as exc:
+        return f"refused: {exc}"
+    return repr(
+        (opt, sorted(tri.edges), st.visited_cones, st.memo_hits, st.total_cones, st.backend, st.engine)
+    )
+
+
+def forced(**cutoffs):
+    """solve_bst with the module's dispatch cutoffs patched for the call."""
+
+    def solve(poly, f):
+        with mock.patch.multiple(bst_solver, **cutoffs):
+            return solve_bst(poly, f)
+
+    return solve
+
+
+PARTS = {
+    "bst-auto": solve_bst,
+    "loop": forced(SWEEP_MIN_N=10**9),
+    "dense": lambda poly, f: solve_bst(poly, f, backend="dense"),
+    "sweep": forced(SWEEP_MIN_N=0, SWEEP_MIN_WIDTH=0),
+    "yao-scalar": lambda poly, f: solve_yao(poly, f, engine="scalar"),
+    "yao-vector": lambda poly, f: solve_yao(poly, f, engine="vector"),
+}
+
+
+def bridge_triples(table) -> str:
+    return repr(sorted((u, v, x) for x, (u, v) in enumerate(zip(table.left, table.right)) if u >= 0))
+
+
+def main() -> int:
+    polys = list(corpus())
+    hashes = {name: hashlib.sha256() for name in (*PARTS, "bridges")}
+    for poly in polys:
+        for f in FNS:
+            for name, solve in PARTS.items():
+                hashes[name].update(outcome(solve, poly, f).encode())
+        for finder in (find_bridges_walk, find_bridges_linear):
+            hashes["bridges"].update(bridge_triples(finder(poly)).encode())
+    overall = hashlib.sha256()
+    for name, h in hashes.items():
+        digest = h.hexdigest()
+        overall.update(digest.encode())
+        print(f"{name:<11} {digest[:16]}")
+    print(f"{'overall':<11} {overall.hexdigest()[:16]}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,4 +1,4 @@
-"""Branching solver: expansion rules, memo stores, stats, value agreement.
+"""Branching solver: expansion rules, memo backends, stats, value agreement.
 
 The in-test evaluator below recomputes cone values recursively from the
 public expand_cone/cone_value_base alone, so the packed hot loop in
@@ -13,7 +13,6 @@ from conftest import cone_value_oracle, random_polygon, witness_by_reexpansion
 from polytri import (
     Branch,
     Cone,
-    MemoStore,
     Polygon,
     SolverInvariantError,
     TriangleWeightFn,
@@ -22,6 +21,7 @@ from polytri import (
     expand_cone,
     expand_root,
     find_bridges_linear,
+    gen_random,
     gen_staircase,
     is_base_cone,
     reconstruct_triangulation,
@@ -202,8 +202,8 @@ class TestSolveBst:
 
     def test_backends_agree(self, weight_fns):
         rng = random.Random(73)
-        for _ in range(40):
-            poly = random_polygon(rng, n_lo=3, n_hi=40)
+        polys = [random_polygon(rng, n_lo=3, n_hi=40) for _ in range(40)]
+        for poly in [*polys, gen_staircase(10), gen_random(500, 73)]:
             for f in weight_fns.values():
                 oh, th, sh = solve_bst(poly, f, backend="hash")
                 od, td, sd = solve_bst(poly, f, backend="dense")
@@ -261,43 +261,17 @@ class TestReconstruction:
 
 
 class TestMemoStore:
+    """solve_bst chooses the memo from backend: a dict, or a flat list up to DENSE_CAP."""
+
     def test_rejects_unknown_backend(self):
-        # solve_bst chooses the memo (a dict or a MemoStore) from backend
         with pytest.raises(ValueError, match="unknown memo backend"):
             solve_bst(Polygon((1, 2, 5, 3)), TriangleWeightFn.additive(), backend="btree")
 
     def test_dense_refuses_large_n(self):
-        with pytest.raises(ValueError, match="dense memo refused"):
-            MemoStore(3000, ())
+        fa = TriangleWeightFn.additive()
         poly = Polygon(tuple(range(1, 2002)))  # n = 2001, one past the cap
-        solve_bst(poly, TriangleWeightFn.additive(), backend="hash")  # no cap on the dict
-
-    def test_dense_round_trip(self):
-        poly = Polygon((1, 2, 5, 3, 6, 4))
-        table = find_bridges_linear(poly)
-        n, x = poly.n, table.s_node(1, 3)  # row of the bridge (1, 3), S node 2
-        store = MemoStore(n, table.left)
-        key = x * (n + 1) + 0
-        assert key not in store
-        store[key] = 7
-        store[key + 1] = 9  # same bridge row, apex 0
-        assert key in store and key + 2 not in store
-        assert (store[key], store[key + 1]) == (7, 9)
-        assert len(store) == 2
-        with pytest.raises(KeyError, match="empty"):
-            store[key + 2]
-        with pytest.raises(SolverInvariantError, match="written twice"):
-            store[key] = 7
-
-    def test_dense_rejects_non_bridge_rows(self):
-        poly = Polygon((1, 2, 5, 3, 6, 4))
-        table = find_bridges_linear(poly)
-        n = poly.n
-        store = MemoStore(n, table.left)
-        key = poly.rank[1] * (n + 1)  # the second-lightest node is no bridge's S node
-        with pytest.raises(KeyError, match="no bridge"):
-            key in store
-        with pytest.raises(KeyError, match="no bridge"):
-            store[key]
-        with pytest.raises(KeyError, match="no bridge"):
-            store[key] = 1
+        with pytest.raises(ValueError, match="dense memo refused"):
+            solve_bst(poly, fa, backend="dense")
+        at_cap = Polygon(poly.weights[:-1])
+        opt, _, stats = solve_bst(at_cap, fa, backend="dense")
+        assert (opt, stats.backend) == (solve_bst(at_cap, fa)[0], "dense")

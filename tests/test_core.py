@@ -2,6 +2,7 @@
 
 import random
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -50,6 +51,17 @@ class TestPolygon:
         Polygon((1, 2, WEIGHT_MAX))  # at the limit is fine
         with pytest.raises(ValueError, match="64-bit"):
             Polygon((1, 2, WEIGHT_MAX + 1))
+
+    @pytest.mark.parametrize("bad", [1.9, Fraction(7, 2), "4"], ids=["float", "fraction", "str"])
+    def test_rejects_non_integral_weight(self, bad):
+        # truncating would solve a different polygon from the one given
+        with pytest.raises(ValueError, match="weight of node 1 is not an integer"):
+            Polygon((1, bad, 3, 4))
+
+    def test_accepts_numpy_integers(self):
+        poly = Polygon(tuple(np.array([3, 1, 2], np.int64)))
+        assert poly.weights == (3, 1, 2)
+        assert all(type(w) is int for w in poly.weights)
 
     @settings(max_examples=150)
     @given(w=st.lists(st.integers(1, 3), min_size=3, max_size=60))

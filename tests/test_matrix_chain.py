@@ -2,7 +2,9 @@
 
 import random
 import re
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import chain_cost_bruteforce
@@ -35,6 +37,16 @@ class TestChainDims:
             ChainDims((7,))
         with pytest.raises(ValueError, match="non-positive"):
             ChainDims((10, 0, 30))
+
+    @pytest.mark.parametrize("bad", [10.5, Fraction(21, 2), "10"], ids=["float", "fraction", "str"])
+    def test_rejects_non_integral_dims(self, bad):
+        with pytest.raises(ValueError, match="dimension 0 is not an integer"):
+            ChainDims((bad, 20, 30))
+
+    def test_accepts_numpy_integers(self):
+        chain = ChainDims(tuple(np.array([10, 20, 30], np.int64)))
+        assert chain.dims == (10, 20, 30)
+        assert all(type(d) is int for d in chain.dims)
 
     def test_polygon_mapping(self):
         assert chain_to_polygon(ChainDims((10, 20, 30, 40))) == Polygon((10, 20, 30, 40))
