@@ -26,20 +26,22 @@ take it only from ``SWEEP_MIN_N`` nodes on, when the weight function has a
 the loop runs everything else, including sorted or tie-heavy polygons, whose
 cone graph is n levels deep with a few cones on each.
 ``reconstruct_triangulation`` evaluates the root and walks one winning edge
-set over the solved values by packed key, for both engines and for
-yao_solver's sweep; it calls ``_cone_shape``, as does yao_solver's vector
-sweep. "Lighter" is always the polygon's one total order, read as
+set over the solved values by packed key, for the loop and for yao_solver;
+it calls ``_cone_shape``, as does yao_solver's vector sweep. The sweep walks
+its own cells instead: it keeps each cell's winning branch and children
+while valuing them, and steps down from the root one generation of cells
+at a time in numpy, then values every walked cell's branch again in one
+pass. "Lighter" is always the polygon's one total order, read as
 ``rank_of[a] < rank_of[b]``. A stored value that no branch reproduces raises
 SolverInvariantError. The tests cross-check the packed forms against the
 public rules: cone values against a recursion over ``expand_cone``,
-witnesses against a re-expansion of winning cones, and the sweep against the
-loop cone by cone.
+witnesses against a re-expansion of winning cones, the sweep against the
+loop cone by cone, and the sweep's walk against this one over its values.
 """
 
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -286,11 +288,12 @@ def reconstruct_triangulation(
 ) -> tuple[int, frozenset[Edge]]:
     """Evaluate the root and walk one optimal edge set over solved cone values.
 
-    get(key) returns the solved value of the non-base cone with packed key
-    x*(n + 1) + k: the cone of the bridge whose S node is x, with apex
-    k - 1 (k = 0: none); base cones are valued directly and never looked
-    up. The root is evaluated first, as the sum of its cones (_root_cones).
-    Returns (optimal weight, edges).
+    The loop engine and yao_solver walk this way; the sweep walks its own
+    cells (_sweep). get(key) returns the solved value of the non-base cone
+    with packed key x*(n + 1) + k: the cone of the bridge whose S node is x,
+    with apex k - 1 (k = 0: none); base cones are valued directly and never
+    looked up. The root is evaluated first, as the sum of its cones
+    (_root_cones). Returns (optimal weight, edges).
 
     Each cone is expanded in its (p, ab, one) shape (_cone_shape). Branch 1
     is taken when it reproduces the solved value, so it wins ties as in the
@@ -384,18 +387,19 @@ def _levels(child: np.ndarray) -> np.ndarray:
 
 
 def _visit(
-    child: np.ndarray, ch_key: np.ndarray, roots: np.ndarray, n1: int
-) -> tuple[list[tuple[int, int]], list[np.ndarray], np.ndarray, np.ndarray, int]:
+    child: np.ndarray, ch_key: np.ndarray, roots: np.ndarray, n1: int, room: int
+) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """Pass 1 of the sweep, down by height: the cells each node holds.
 
     child[node, j] is the node of child j (-1: none), ch_key[node, j] its
     packed key, less the apex where the child inherits it (j = 1, 2 of a
-    row node); roots are the packed keys of the root's non-base cones.
-    Cells are numbered level by level from the top, in key order within a
-    level, so each node's cells are one run. Returns, per level, the run of
-    cells it holds and its child table (the cell of child j of its cell i
-    at kids[j * c + i], c cells, -1 for none), every cell's key, each
-    node's run as (first, end) rows, and the number of pushes.
+    row node); roots are the packed keys of the root's non-base cones;
+    room bounds the cells (_width's count). Cells are numbered level by
+    level from the top, in key order within a level. Returns the run of
+    cells each level holds, the (3, cells) int32 table of the cell of each
+    cell's child j (-1: none; of a Z node's run, only the first cell names
+    its child 0), every cell's key, the cell of each apexless node A(x),
+    the roots' cells, and the number of pushes.
     """
     nodes = len(child)
     nb = nodes // 2
@@ -408,13 +412,15 @@ def _visit(
     ch_key = ch_key.T.copy()
     # requests per level: keys, and where each one's cell goes
     pending: list[list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = [[] for _ in range(top + 1)]
-    nowhere = np.zeros(len(roots), np.int64)  # the root's cones' cells, unused
+    root_cells = np.zeros(len(roots), np.int64)
     for j, node in enumerate(roots // n1 + nb * (roots % n1 > 0)):
-        pending[height[node]].append((roots[j : j + 1], np.array([j]), nowhere))
+        pending[height[node]].append((roots[j : j + 1], np.array([j]), root_cells))
     spans = [(0, 0)] * (top + 1)
-    kids = [nowhere[:0]] * (top + 1)
+    # one table for all levels, so no level's children are ever stored twice
+    kids = np.empty((3, room), np.int32)
+    flat = kids.reshape(-1)  # child j of cell i at j * room + i
     cells: list[np.ndarray] = []
-    runs = np.zeros((nodes, 2), np.int64)
+    a_cell = np.full(nb, -1, np.int64)
     ncells = 0
     pushes = len(roots)
     for level in range(top, -1, -1):
@@ -432,6 +438,9 @@ def _visit(
         uq = keys[new]
         cnt = len(uq)
         base, ncells = ncells, ncells + cnt
+        if ncells > room:
+            raise SolverInvariantError(f"the sweep holds more than the {room} cones _width bounds")
+        kids[:, base:ncells] = -1
         spans[level] = (base, ncells)
         cells.append(uq)
         at = np.empty(len(keys), np.int64)
@@ -442,12 +451,11 @@ def _visit(
             i += len(slot)
         b, k = np.divmod(uq, n1)
         row = np.where(k > 0, b + nb, b)
-        again = b[1:] == b[:-1]
-        head = np.flatnonzero(np.concatenate(([True], ~again)))
-        runs[row[head], 0] = base + head
-        runs[row[head], 1] = base + np.append(head[1:], cnt)
+        apexless = np.flatnonzero(k == 0)
+        a_cell[b[apexless]] = base + apexless
         lev = np.concatenate([np.take(col, row) for col in ch_level])
         # every cell of Z(B) pushes A(B); its first cell's push alone requests it
+        again = b[1:] == b[:-1]
         lev[1:cnt][again] = none
         slots = lev.argsort(kind="stable")[: 3 * cnt - np.count_nonzero(lev == none)]
         pushes += len(slots) + int(again.sum())
@@ -455,24 +463,27 @@ def _visit(
         out_keys = np.concatenate(
             (np.take(ch_key[0], row), np.take(ch_key[1], row) + k, np.take(ch_key[2], row) + k)
         )[slots]
-        dst = kids[level] = np.full(3 * cnt, -1, np.int32)
+        slots = (slots // cnt) * room + base + slots % cnt
         cuts = [0, *(np.flatnonzero(lev[1:] != lev[:-1]) + 1).tolist(), len(lev)]
         for lo, hi in zip(cuts, cuts[1:]):
             if lo < hi:
-                pending[lev[lo]].append((out_keys[lo:hi], slots[lo:hi], dst))
-    return spans, kids, np.concatenate([roots[:0], *cells]), runs, pushes
+                pending[lev[lo]].append((out_keys[lo:hi], slots[lo:hi], flat))
+    return spans, kids[:, :ncells], np.concatenate([roots[:0], *cells]), a_cell, root_cells, pushes
 
 
-def _width(table: BridgeTable, child: np.ndarray, ch_key: np.ndarray, roots: np.ndarray) -> float:
-    """The cones per level the sweep can expect: an estimate from _sweep's tables.
+def _width(
+    table: BridgeTable, child: np.ndarray, ch_key: np.ndarray, roots: np.ndarray
+) -> tuple[int, float]:
+    """The cones the sweep can hold and the cones per level it can expect, from _sweep's tables.
 
     Cut open at the lightest node, the bridges' arcs nest, and the rows
     below Z(x) are those of the bridges nested in x's: one per S node inside
     its arc, at positions first[x] .. last[x] - 1 from the lightest node. An
     apex that an A node, or the root, sends into Z(y) reaches every row of
     y's nest once, so the apexed cones are the nest sizes of the sends not
-    nested in a send of the same apex (counting every A node as visited).
-    The levels number about the depth of the nesting.
+    nested in a send of the same apex; counting every A node as visited,
+    that bounds the cones the sweep holds. The levels number about the
+    depth of the nesting.
     """
     poly = table.poly
     n, m0 = poly.n, poly.rank[0]
@@ -492,19 +503,22 @@ def _width(table: BridgeTable, child: np.ndarray, ch_key: np.ndarray, roots: np.
     # a send is nested in an earlier send of its apex when that one's nest reaches past it
     reach = np.maximum.accumulate(np.concatenate(([-1], (apex * (n + 1) + hi)[:-1])))
     top = reach <= apex * (n + 1) + lo
-    return (len(table) + int((hi - lo)[top].sum())) / int(depth.max())
+    cones = len(table) + int((hi - lo)[top].sum())
+    return cones, cones / int(depth.max())
 
 
 def _sweep(
     poly: Polygon, table: BridgeTable, f: TriangleWeightFn
-) -> tuple[int, int, Callable[[int], int]] | None:
-    """The search's visited cones, valued level by level in numpy.
+) -> tuple[int, int, np.ndarray, np.ndarray, Callable[[], tuple[int, np.ndarray]]] | None:
+    """The search's visited cones, valued level by level in numpy, and their walk.
 
-    Returns (visited_cones, memo_hits, get) as the loop (_search) would, with
-    get(key) reading the value of a visited cone by the loop's packed key;
-    or None, having valued nothing, when _width expects fewer than
-    SWEEP_MIN_WIDTH cones per level, too few to pay for the levels' numpy
-    calls (sorted or tie-heavy weights nest n deep with a few cones each).
+    Returns (visited_cones, memo_hits, keys, values, walk): the counts as
+    the loop (_search) would give them, each visited cone's packed key and
+    value (one cell each), and walk(), which returns the optimum and one
+    optimal edge set read off the cells, as sorted (a, b) rows, a < b; or None, having valued nothing,
+    when _width expects fewer than SWEEP_MIN_WIDTH cones per level, too few
+    to pay for the levels' numpy calls (sorted or tie-heavy weights nest n
+    deep with a few cones each).
 
     Every cone expansion is _cone_shape's, so the cones fall into two nodes
     per bridge x (named by its S node): A(x), its apexless cone, and Z(x),
@@ -516,7 +530,11 @@ def _sweep(
     k = apex + 1 or 0, one sort per level. The values then go bottom-up,
     a few whole-level expressions per level. They are int64 while the
     largest value so far proves the next level's sums fit, and object (exact
-    ints) from the first level where they may not, as in yao_solver.
+    ints) from the first level where they may not, as in yao_solver. Each
+    cell keeps whether branch 1 won (it wins ties, as in
+    reconstruct_triangulation) and, in rows 1 and 2 of the kid table, the
+    cells of that branch's children, so the walk goes down from the
+    root's cells one generation at a time, in numpy, with no lookup by key.
     """
     n, w, n1 = poly.n, poly.weights, poly.n + 1
     fvec = f.vec
@@ -551,9 +569,10 @@ def _sweep(
     child[~np.concatenate((bridge, bridge))] = -1  # the two lightest name no bridge
     root = [x * n1 + k for x, k, u, v in _root_cones(table)[1] if x >= 0 and (k or (v - u) % n > 2)]
     roots = np.array(root, np.int64)
-    if _width(table, child, ch_key, roots) < SWEEP_MIN_WIDTH:
+    cones, width = _width(table, child, ch_key, roots)
+    if width < SWEEP_MIN_WIDTH:
         return None
-    spans, kids, keys, runs, pushes = _visit(child, ch_key, roots, n1)
+    spans, kids, keys, a_cell, root_cells, pushes = _visit(child, ch_key, roots, n1, cones)
     ncells = len(keys)
 
     # per-bridge weights and constants: A(x)'s triangle and base children
@@ -570,43 +589,86 @@ def _sweep(
     # Z(x)'s children (u, x) and (x, v) that are single triangles
     ZL = (LC < 0).astype(np.int64)
     ZR = (RC < 0).astype(np.int64)
-    a_cell = runs[:n, 0]
 
-    # pass 2, up by height
+    def consts(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cells' apexed mask and their branches' triangles: branch 1's, branch 2's base ones."""
+        wu, wv, ws, wz = WU[x], WV[x], W[x], W[k - 1]  # apexless (k = 0): masked by z
+        z = k > 0
+        c1 = np.where(z, fvec(wu, wv, wz), C1[x])
+        c2 = np.where(z, fvec(wu, ws, wz) * ZL[x] + fvec(ws, wv, wz) * ZR[x], C2[x])
+        return z, c1, c2
+
+    # pass 2, up by height; won: branch 1 gave the cell's value (it wins ties)
     value = np.zeros(ncells + 1, dtype=W.dtype)  # the last cell, 0, stands for an absent child
+    won = np.zeros(ncells, bool)
     peak = 0
-    for level, (lo, hi) in enumerate(spans):
+    for lo, hi in spans:
         if lo == hi:
             continue
         if tmax is not None and 2 * (peak + tmax) >= INT64_LIMIT:
             value, WU, WV, W, C1, C2 = (a.astype(object) for a in (value, WU, WV, W, C1, C2))
             tmax = None
         x, k = np.divmod(keys[lo:hi], n1)
-        c = hi - lo
-        kid = kids[level]
-        wu, wv, ws, wz = WU[x], WV[x], W[x], W[k - 1]  # apexless (k = 0): masked by z
-        z = k > 0
-        c1 = np.where(z, fvec(wu, wv, wz), C1[x])
-        c2 = np.where(z, fvec(wu, ws, wz) * ZL[x] + fvec(ws, wv, wz) * ZR[x], C2[x])
-        val = value[kid[c : 2 * c]] + value[kid[2 * c :]] + c2
-        kid0 = np.where(z, a_cell[x], kid[:c])  # every cell of Z(x) reads A(x)
-        val = np.where(z | one[x], np.minimum(val, value[kid0] + c1), val)
-        value[lo:hi] = val
+        kid = kids[:, lo:hi]
+        z, c1, c2 = consts(x, k)
+        kid0 = np.where(z, a_cell[x], kid[0])  # every cell of Z(x) reads A(x)
+        val = value[kid[1]] + value[kid[2]] + c2
+        alt = value[kid0] + c1
+        b1 = won[lo:hi] = (z | one[x]) & (alt <= val)
+        val = value[lo:hi] = np.where(b1, alt, val)
+        # from here on, rows 1 and 2 name the children of the branch that won
+        kid[1] = np.where(b1, kid0, kid[1])
+        kid[2, b1] = -1
         if tmax is not None:
             peak = max(peak, int(val.max()))
 
-    key_view = memoryview(keys)
+    def walk() -> tuple[int, np.ndarray]:
+        """The root's value and one optimal edge set, stepped one generation of cells at a time.
 
-    def get(key: int) -> int:
-        x, k = divmod(key, n1)
-        node = n + x if k else x
-        hi = runs.item(node, 1)
-        i = bisect_left(key_view, key, runs.item(node, 0), hi)
-        if i == hi or key_view[i] != key:
-            raise KeyError(f"cone {key} was not visited")
-        return value.item(i)
+        The edges come as sorted (a, b) rows, a < b. Each cell leads to the children of its winning branch. One where
+        branch 1 won adds the edge (a, b) = (U[m], V[m]), any other the
+        edge (p, m), but an apexless cone of one triangle adds nothing; m is
+        the cell's x if apexed, else M[x]. The walked cells' winning
+        branches are then valued again, in one pass: a branch that does not
+        give its cell's stored value, or a walk that does not yield n - 3
+        distinct edges, raises SolverInvariantError.
+        """
+        root_edges, root_cones = _root_cones(table)
+        walked = []
+        front = root_cells
+        while len(front):
+            walked.append(front)
+            front = kids[1:, front]
+            front = front[front >= 0]
+        cells = np.sort(np.concatenate([root_cells[:0], *walked]))  # in memory order: local reads
+        x, k = np.divmod(keys[cells], n1)
+        z, c1, c2 = consts(x, k)
+        b1, kid, val = won[cells], kids[1:, cells], value[cells]
+        bad = np.flatnonzero(val != value[kid[0]] + value[kid[1]] + np.where(b1, c1, c2))
+        if len(bad):
+            c = bad[0]
+            raise SolverInvariantError(
+                f"no branch of cone ({U[x[c]]}, {V[x[c]]}, apex {k[c] - 1 if z[c] else None}) "
+                f"reproduces its solved value {val[c]}"
+            )
+        m = np.where(z, x, M[x])
+        lo = np.where(b1, U[m], np.where(z, k - 1, P[x]))
+        hi = np.where(b1, V[m], m)
+        keep = b1 | z | ~leaf[x]
+        lo, hi = lo[keep], hi[keep]
+        e = np.array([a * n + b for a, b in root_edges], np.int64)  # each edge as a * n + b
+        e = np.sort(np.concatenate((e, np.minimum(lo, hi) * n + np.maximum(lo, hi))))
+        distinct = len(e) - np.count_nonzero(e[1:] == e[:-1])
+        if len(e) != n - 3 or distinct != len(e):
+            raise SolverInvariantError(f"the walk produced {distinct} distinct edges, wanted {n - 3}")
+        opt = sum(value[root_cells].tolist())
+        for _, apex, u, v in root_cones:
+            cone = Cone(u, v, apex - 1 if apex else None)
+            if is_base_cone(poly, cone):
+                opt += cone_value_base(poly, cone, f)
+        return opt, np.stack(np.divmod(e, n), axis=1)
 
-    return ncells, pushes - ncells, get
+    return ncells, pushes - ncells, keys, value[:-1], walk
 
 
 def _search(
@@ -736,7 +798,10 @@ def solve_bst(
         swept = _sweep(poly, table, f)
     if swept is not None:
         engine = "sweep"
-        visited, hits, get = swept
+        visited, hits, _, _, walk = swept
+        opt, rows = walk()
+        edges = zip(*rows.T.tolist())  # Triangulation makes the one frozenset
+        del swept, walk  # the cells go before the Triangulation is built
     else:
         engine = "loop"
         if backend == "hash":
@@ -753,6 +818,6 @@ def solve_bst(
                 return val
 
         visited, hits = _search(poly, table, f, memo)
-    opt, edges = reconstruct_triangulation(poly, table, f, get)
+        opt, edges = reconstruct_triangulation(poly, table, f, get)
     stats = SolveStats(visited, hits, total, time.perf_counter_ns() - t0, backend, engine)
     return opt, Triangulation(edges, opt), stats

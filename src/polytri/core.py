@@ -288,9 +288,13 @@ def _edge_set(poly: Polygon, edges: Iterable[Edge] | Triangulation) -> set[Edge]
         edges = edges.edges
     n = poly.n
     out: set[Edge] = set()
+    index = operator.index  # the rule as_ints applies to weights
     for pair in edges:
         a, b = pair
-        a, b = int(a), int(b)
+        try:
+            a, b = index(a), index(b)
+        except TypeError:
+            raise ValueError(f"edge {tuple(pair)!r} has an endpoint that is not an integer") from None
         if a == b:
             raise ValueError(f"degenerate edge ({a}, {b})")
         if not (0 <= a < n and 0 <= b < n):

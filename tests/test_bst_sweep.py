@@ -1,8 +1,10 @@
 """The branching search's numpy sweep against its inline loop.
 
 Both engines must visit the same cones, count the same memo hits and
-compute the same value for every cone: the sweep's ``get`` is read at every
-key the loop's memo holds. solve_bst takes the sweep for hash solves with a
+compute the same value for every cone: the sweep's cells must hold exactly
+the keys of the loop's memo, with its values. The sweep's own walk must
+give the optimum and edge set that reconstruct_triangulation reads off the
+same values. solve_bst takes the sweep for hash solves with a
 vectorized weight function from SWEEP_MIN_N nodes on, when it expects at
 least SWEEP_MIN_WIDTH cones per level; the tests below lower both cutoffs
 to run the sweep on small and thin polygons too.
@@ -18,15 +20,17 @@ from hypothesis import strategies as st
 from test_exact_engines import FNS, heavy_light, random_piece_sums
 from polytri import (
     Polygon,
+    SolverInvariantError,
     TriangleWeightFn,
     find_bridges_linear,
     gen_random,
     gen_staircase,
+    reconstruct_triangulation,
     solve_bst,
     solve_yao,
 )
 from polytri import bst_solver
-from polytri.bst_solver import SWEEP_MIN_N, _search, _sweep
+from polytri.bst_solver import SWEEP_MIN_N, _root_cones, _search, _sweep
 
 WEIGHT_FNS = [FNS["mult"], FNS["add"], FNS["custom"]]
 
@@ -42,15 +46,37 @@ def corpus():
         yield gen_staircase(half_n)
 
 
+def sweep(poly, table, f):
+    """_sweep, run whatever cones per level it expects."""
+    with mock.patch.object(bst_solver, "SWEEP_MIN_WIDTH", 0):
+        return _sweep(poly, table, f)
+
+
 def assert_sweep_matches_loop(poly, f):
-    """Same visited and hit counts, and the loop's value at every visited cone."""
+    """Same visited and hit counts, and the loop's memo as the sweep's cells."""
     table = find_bridges_linear(poly)
     memo = {}
     counts = _search(poly, table, f, memo)
-    with mock.patch.object(bst_solver, "SWEEP_MIN_WIDTH", 0):
-        visited, hits, get = _sweep(poly, table, f)
+    visited, hits, keys, values, _ = sweep(poly, table, f)
     assert (visited, hits) == counts
-    assert all(get(key) == val for key, val in memo.items())
+    assert len(keys) == len(values) == visited
+    assert dict(zip(keys.tolist(), values.tolist())) == memo
+
+
+def walked(walk):
+    """The sweep walk's optimum and its edge rows as a set of pairs."""
+    opt, rows = walk()
+    assert rows.shape[1:] == (2,) and (rows[:, 0] < rows[:, 1]).all()
+    return opt, frozenset(map(tuple, rows.tolist()))
+
+
+def assert_walks_agree(poly, f):
+    """The sweep's walk and reconstruct_triangulation over its values: one optimum, one edge set."""
+    table = find_bridges_linear(poly)
+    _, _, keys, values, walk = sweep(poly, table, f)
+    cells = dict(zip(keys.tolist(), values.tolist()))
+    assert walked(walk) == reconstruct_triangulation(poly, table, f, cells.__getitem__)
+    return values.dtype
 
 
 def solve_both(poly, f, monkeypatch):
@@ -59,9 +85,9 @@ def solve_both(poly, f, monkeypatch):
     loop = solve_bst(poly, f)
     monkeypatch.setattr(bst_solver, "SWEEP_MIN_N", 0)
     monkeypatch.setattr(bst_solver, "SWEEP_MIN_WIDTH", 0)
-    sweep = solve_bst(poly, f)
-    assert (loop[2].engine, sweep[2].engine) == ("loop", "sweep")
-    return loop, sweep
+    swept = solve_bst(poly, f)
+    assert (loop[2].engine, swept[2].engine) == ("loop", "sweep")
+    return loop, swept
 
 
 def outcome(result):
@@ -84,8 +110,8 @@ def test_identity_through_solve_bst(monkeypatch):
         polys.append(Polygon(tuple(rng.randint(1, hi) for _ in range(rng.randint(3, 120)))))
     for poly in polys:
         for f in WEIGHT_FNS:
-            loop, sweep = solve_both(poly, f, monkeypatch)
-            assert outcome(sweep) == outcome(loop)
+            loop, swept = solve_both(poly, f, monkeypatch)
+            assert outcome(swept) == outcome(loop)
 
 
 @pytest.mark.parametrize("fname", ["mult", "custom"])
@@ -110,10 +136,11 @@ def test_past_int64(poly, fname, monkeypatch):
     # the first three and from the start on the rest
     f = FNS[fname]
     assert_sweep_matches_loop(poly, f)
-    loop, sweep = solve_both(poly, f, monkeypatch)
-    assert outcome(sweep) == outcome(loop)
+    assert assert_walks_agree(poly, f) == object
+    loop, swept = solve_both(poly, f, monkeypatch)
+    assert outcome(swept) == outcome(loop)
     _, ts, _ = solve_yao(poly, f, engine="scalar")
-    assert (sweep[0], sweep[1].edges) == (ts.weight, ts.edges)
+    assert (swept[0], swept[1].edges) == (ts.weight, ts.edges)
 
 
 def test_dispatch():
@@ -146,18 +173,62 @@ def test_thin_polygons_take_the_loop(weights):
     assert (opt, tri.edges) == (want, ty.edges)
 
 
-def test_get_refuses_unvisited_cones():
+def test_cells_are_the_visited_cones():
     poly = gen_random(60, 5)
     table = find_bridges_linear(poly)
     memo = {}
     _search(poly, table, FNS["add"], memo)
-    with mock.patch.object(bst_solver, "SWEEP_MIN_WIDTH", 0):
-        _, _, get = _sweep(poly, table, FNS["add"])
+    keys = sweep(poly, table, FNS["add"])[2].tolist()
     n1 = poly.n + 1
     census = {x * n1 + k for x in range(poly.n) if table.left[x] >= 0 for k in range(n1)}
-    for key in sorted(census - set(memo))[:200]:
-        with pytest.raises(KeyError):
-            get(key)
+    assert len(set(keys)) == len(keys)
+    assert set(keys) == set(memo) < census
+
+
+def test_cells_past_the_width_bound_raise(monkeypatch):
+    # _width's count bounds the cells, so the kid table is sized once
+    poly = gen_random(60, 5)
+    table = find_bridges_linear(poly)
+    width = bst_solver._width
+    monkeypatch.setattr(bst_solver, "_width", lambda *args: (width(*args)[0] // 2, 10**9))
+    with pytest.raises(SolverInvariantError, match="_width bounds"):
+        _sweep(poly, table, FNS["add"])
+
+
+@pytest.mark.parametrize("fname", ["mult", "add", "custom"])
+def test_walks_agree_corpus(fname):
+    f = FNS[fname]
+    f.ensure_monotonic()
+    for poly in corpus():
+        assert_walks_agree(poly, f)
+
+
+@settings(deadline=None, max_examples=40)
+@given(weights=st.lists(st.integers(2**18, 2**22), min_size=3, max_size=60))
+def test_walks_agree_past_int64(weights):
+    # a node of 2**21 or more makes one triangle reach 2**63: object dtype throughout
+    dtype = assert_walks_agree(Polygon(tuple(weights)), FNS["mult"])
+    assert dtype == object or max(weights) < 2**21
+
+
+@pytest.mark.parametrize("poly", [gen_random(60, 5), gen_staircase(8)], ids=["random", "staircase"])
+def test_walk_refuses_a_corrupt_cell(poly):
+    # a walked cell whose value its branch does not give raises; any other is never read
+    f = FNS["add"]
+    table = find_bridges_linear(poly)
+    _, _, _, values, walk = sweep(poly, table, f)
+    clean = walked(walk)
+    raised = 0
+    for i in range(len(values)):
+        values[i] += 1
+        try:
+            assert walked(walk) == clean
+        except SolverInvariantError as exc:
+            assert "reproduces its solved value" in str(exc)
+            raised += 1
+        values[i] -= 1
+    # at least the cells that give an edge, all but the root's
+    assert raised >= poly.n - 3 - len(_root_cones(table)[0])
 
 
 @settings(deadline=None, max_examples=60)

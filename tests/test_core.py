@@ -206,6 +206,21 @@ class TestValidation:
         with pytest.raises(ValueError, match="out of range"):
             validate_triangulation(QUAD, {(0, 4)})
 
+    @pytest.mark.parametrize("edge", [(0.5, 2.9), (0, 2.0), (Fraction(2), 0), ("0", 2)])
+    def test_rejects_non_integral_endpoints(self, edge):
+        # read as the edge (0, 2) if truncated; under add that set weighs 17
+        with pytest.raises(ValueError, match="not an integer"):
+            validate_triangulation(QUAD, [edge])
+        with pytest.raises(ValueError, match="not an integer"):
+            triangulation_weight(QUAD, [edge], TriangleWeightFn.additive())
+
+    def test_accepts_numpy_integer_endpoints(self):
+        edges = [(np.int64(0), np.int32(2))]
+        assert validate_triangulation(QUAD, edges).ok
+        assert require_valid(QUAD, edges) == {(0, 2)}
+        assert all(type(v) is int for e in require_valid(QUAD, edges) for v in e)
+        assert triangulation_weight(QUAD, edges, TriangleWeightFn.additive()) == 17
+
     def test_require_valid_raises(self):
         with pytest.raises(InvalidTriangulationError, match="count"):
             require_valid(QUAD, set())
