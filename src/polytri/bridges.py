@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import Polygon
 
 Bridge = tuple[int, int]
@@ -72,10 +74,8 @@ class BridgeTable:
 
     def total_cones(self) -> int:
         """One apexless cone per bridge plus one cone per valid apex."""
-        rank_of = self.poly.rank_of
-        return sum(
-            1 + min(rank_of[u], rank_of[v]) for u, v in zip(self.left, self.right) if u >= 0
-        )
+        rank_of, u, v = (np.array(a) for a in (self.poly.rank_of, self.left, self.right))
+        return len(self) + int(np.minimum(rank_of[u], rank_of[v])[u >= 0].sum())
 
 
 def _table(poly: Polygon, found: list[tuple[int, int, int]]) -> BridgeTable:

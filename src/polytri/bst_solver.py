@@ -13,37 +13,28 @@ cone's key is x*(n + 1) + k, x the S node that names its bridge
 
 ``expand_cone`` and ``expand_root`` are the public, self-describing form of
 the rules. Every cone expansion also has one compact shape, (p, ab, one),
-stated once in ``_cone_shape``. ``solve_bst`` runs that shape in one of two
-engines. The loop goes over a flattened work stack of packed keys and
-memoizes in a dict (backend "hash") or a flat list indexed by the key
-(backend "dense"); it takes each apexless cone's shape from _cone_shape. The
-sweep lists the same visited cones level by level in numpy and values them
-bottom-up, since which cones the search visits depends on the polygon alone.
-The sweep pays a few numpy calls per level of the cone graph, so hash solves
-take it only from ``SWEEP_MIN_N`` nodes on, when the weight function has a
-``vec`` and the sweep expects at least ``SWEEP_MIN_WIDTH`` cones per level
-(``_width`` estimates that from the bridge nesting before any level is run);
-the loop runs everything else, including sorted or tie-heavy polygons, whose
-cone graph is n levels deep with a few cones on each.
-``reconstruct_triangulation`` evaluates the root and walks one winning edge
-set over the solved values by packed key, for the loop and for yao_solver;
-it calls ``_cone_shape``, as does yao_solver's vector sweep. The sweep walks
-its own cells instead: it keeps each cell's winning branch and children
-while valuing them, and steps down from the root one generation of cells
-at a time in numpy, then values every walked cell's branch again in one
-pass. "Lighter" is always the polygon's one total order, read as
-``rank_of[a] < rank_of[b]``. A stored value that no branch reproduces raises
-SolverInvariantError. The tests cross-check the packed forms against the
-public rules: cone values against a recursion over ``expand_cone``,
-witnesses against a re-expansion of winning cones, the sweep against the
-loop cone by cone, and the sweep's walk against this one over its values.
+stated once in ``_cone_shape``. ``solve_bst`` runs it in one of two engines.
+The loop goes over a flattened work stack of packed keys and memoizes in a
+dict (backend "hash") or a flat list indexed by the key (backend "dense").
+The sweep lays the same visited cones out in numpy, in closed form from the
+bridge nesting (which cones the search visits depends on the polygon alone),
+and values them bottom-up, a few numpy calls per level of the cone graph.
+So hash solves take it only from ``SWEEP_MIN_N`` nodes on, when the weight
+function has a ``vec`` and ``_width`` expects at least ``SWEEP_MIN_WIDTH``
+cones per level; the loop runs everything else, including sorted or
+tie-heavy polygons, whose cone graph is n levels deep with a few cones on
+each. ``reconstruct_triangulation`` walks one winning edge set over solved
+values by packed key, for the loop and yao_solver; the sweep walks its own
+cells. "Lighter" is always ``rank_of[a] < rank_of[b]``. A stored value that
+no branch reproduces raises SolverInvariantError. The tests cross-check the
+packed forms against the public rules, and the sweep against the loop.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -63,6 +54,7 @@ from .core import (
 DENSE_CAP = 2000  # the largest n the dense memo accepts: its list holds n * (n + 1) cells
 SWEEP_MIN_N = 800  # from here on, hash solves with a vec may take the sweep (measured crossover)
 SWEEP_MIN_WIDTH = 200  # the cones per level from which the sweep beats the loop (measured)
+_CHUNK = 2**17  # cells per chunk of the sweep's pass 1 and its check, to bound their temporaries
 
 __all__ = [
     "Branch",
@@ -352,159 +344,160 @@ def reconstruct_triangulation(
     return opt, out
 
 
-def _levels(child: np.ndarray) -> np.ndarray:
-    """Height of each node of a DAG given as an (N, 3) child table, -1 for none.
+def _held(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
+    """How many of the runs of positions lo .. hi - 1 hold each position 0 .. n - 1."""
+    return np.cumsum(np.bincount(lo, minlength=n + 1) - np.bincount(hi, minlength=n + 1))[:n]
 
-    The height is the longest path down to a node without children; peeled
-    off in layers from the leaves, each step decrementing the parents'
-    count of children left.
+
+def _levels(child: np.ndarray, depth: np.ndarray) -> np.ndarray:
+    """Each node's height, the longest path down to a node without children.
+
+    A(x) = x and Z(x) = n + x ask only for nodes of bridges deeper in the
+    Cartesian tree (depth[x]; 0: no bridge), and Z(x) for A(x) too.
     """
-    nodes = len(child)
-    has = child >= 0
-    par = np.repeat(np.arange(nodes), 3)[has.ravel()]
-    chi = child[has]
-    left = np.bincount(par, minlength=nodes)
-    by_child = par[np.argsort(chi)]
-    start = np.concatenate(([0], np.cumsum(np.bincount(chi, minlength=nodes))))
-    height = np.zeros(nodes, np.int64)
-    mark = np.empty(nodes, np.int64)
-    front = np.flatnonzero(left == 0)
-    level = 0
-    while True:
-        height[front] = level
-        lo, lens = start[front], start[front + 1] - start[front]
-        total = int(lens.sum())
-        if not total:
-            return height
-        up = by_child[np.repeat(lo - np.cumsum(lens) + lens, lens) + np.arange(total)]
-        np.subtract.at(left, up, 1)
-        up = up[left[up] == 0]
-        # a parent of several front nodes is listed once per edge: keep one
-        seq = np.arange(len(up))
-        mark[up] = seq
-        front = up[mark[up] == seq]
-        level += 1
+    n = len(depth)
+    height = np.zeros(2 * n, np.int64)
+    o = np.argsort(-depth, kind="stable")
+    for rows in np.split(o, np.flatnonzero(np.diff(depth[o])) + 1):
+        for r in (rows, rows + n):
+            c = child[r]
+            height[r] = 1 + np.where(c >= 0, height[c], -1).max(axis=1)
+    return height
 
 
-def _visit(
-    child: np.ndarray, ch_key: np.ndarray, roots: np.ndarray, n1: int, room: int
-) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """Pass 1 of the sweep, down by height: the cells each node holds.
+def _top_sends(first: np.ndarray, last: np.ndarray, sends: np.ndarray, n1: int) -> tuple[np.ndarray, ...]:
+    """The sends that no send of the same apex nests, as (k, lo, hi) sorted by k, then lo, and
+    each send's top send.
 
-    child[node, j] is the node of child j (-1: none), ch_key[node, j] its
-    packed key, less the apex where the child inherits it (j = 1, 2 of a
-    row node); roots are the packed keys of the root's non-base cones;
-    room bounds the cells (_width's count). Cells are numbered level by
-    level from the top, in key order within a level. Returns the run of
-    cells each level holds, the (3, cells) int32 table of the cell of each
-    cell's child j (-1: none; of a Z node's run, only the first cell names
-    its child 0), every cell's key, the cell of each apexless node A(x),
-    the roots' cells, and the number of pushes.
+    A send x * n1 + k, an apexed cone asked for by an A node or the root,
+    reaches the Z rows of x's nest, the bridges at positions first[x] ..
+    last[x] - 1; nests are Cartesian subtrees, nested or disjoint.
     """
-    nodes = len(child)
-    nb = nodes // 2
-    height = _levels(child)
-    top = int(height.max())
-    # levels as uint16 where they fit, so the stable sorts below are radix sorts
-    ltype = np.uint16 if top < 2**16 - 1 else np.int64
-    none = np.iinfo(ltype).max
-    ch_level = np.where(child >= 0, height[child], none).astype(ltype).T.copy()
-    ch_key = ch_key.T.copy()
-    # requests per level: keys, and where each one's cell goes
-    pending: list[list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = [[] for _ in range(top + 1)]
-    root_cells = np.zeros(len(roots), np.int64)
-    for j, node in enumerate(roots // n1 + nb * (roots % n1 > 0)):
-        pending[height[node]].append((roots[j : j + 1], np.array([j]), root_cells))
-    spans = [(0, 0)] * (top + 1)
-    # one table for all levels, so no level's children are ever stored twice
-    kids = np.empty((3, room), np.int32)
-    flat = kids.reshape(-1)  # child j of cell i at j * room + i
-    cells: list[np.ndarray] = []
-    a_cell = np.full(nb, -1, np.int64)
-    ncells = 0
-    pushes = len(roots)
-    for level in range(top, -1, -1):
-        todo = pending[level]
-        pending[level] = []
-        if not todo:
-            spans[level] = (ncells, ncells)
-            continue
-        keys = np.concatenate([req[0] for req in todo])
-        o = keys.argsort(kind="stable")
-        keys = keys[o]
-        new = np.empty(len(keys), bool)
-        new[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=new[1:])
-        uq = keys[new]
-        cnt = len(uq)
-        base, ncells = ncells, ncells + cnt
-        if ncells > room:
-            raise SolverInvariantError(f"the sweep holds more than the {room} cones _width bounds")
-        kids[:, base:ncells] = -1
-        spans[level] = (base, ncells)
-        cells.append(uq)
-        at = np.empty(len(keys), np.int64)
-        at[o] = np.cumsum(new) + (base - 1)
-        i = 0
-        for _, slot, dst in todo:
-            dst[slot] = at[i : i + len(slot)]
-            i += len(slot)
-        b, k = np.divmod(uq, n1)
-        row = np.where(k > 0, b + nb, b)
-        apexless = np.flatnonzero(k == 0)
-        a_cell[b[apexless]] = base + apexless
-        lev = np.concatenate([np.take(col, row) for col in ch_level])
-        # every cell of Z(B) pushes A(B); its first cell's push alone requests it
-        again = b[1:] == b[:-1]
-        lev[1:cnt][again] = none
-        slots = lev.argsort(kind="stable")[: 3 * cnt - np.count_nonzero(lev == none)]
-        pushes += len(slots) + int(again.sum())
-        lev = lev[slots]
-        out_keys = np.concatenate(
-            (np.take(ch_key[0], row), np.take(ch_key[1], row) + k, np.take(ch_key[2], row) + k)
-        )[slots]
-        slots = (slots // cnt) * room + base + slots % cnt
-        cuts = [0, *(np.flatnonzero(lev[1:] != lev[:-1]) + 1).tolist(), len(lev)]
-        for lo, hi in zip(cuts, cuts[1:]):
-            if lo < hi:
-                pending[lev[lo]].append((out_keys[lo:hi], slots[lo:hi], flat))
-    return spans, kids[:, :ncells], np.concatenate([roots[:0], *cells]), a_cell, root_cells, pushes
+    x, k = np.divmod(sends, n1)
+    lo, hi = first[x], last[x]
+    o = np.lexsort((-hi, lo, k))
+    lo, hi, k = lo[o], hi[o], k[o]
+    reach = np.maximum.accumulate(np.concatenate(([-1], (k * n1 + hi)[:-1])))
+    top = reach <= k * n1 + lo
+    cover = np.empty(len(o), np.int64)
+    cover[o] = np.cumsum(top) - 1  # the last top send so far: the one nesting this send
+    return k[top], lo[top], hi[top], cover
 
 
 def _width(
-    table: BridgeTable, child: np.ndarray, ch_key: np.ndarray, roots: np.ndarray
-) -> tuple[int, float]:
-    """The cones the sweep can hold and the cones per level it can expect, from _sweep's tables.
+    first: np.ndarray, last: np.ndarray, child: np.ndarray, ch_key: np.ndarray, roots: np.ndarray
+) -> float:
+    """Cones per level to expect: all A nodes and all their sends, over the nesting depth."""
+    n = len(first)
+    bridge = child[n:, 0] >= 0  # Z(x) asks for A(x)
+    sends = np.concatenate((ch_key[:n, 1:][child[:n, 1:] >= n], roots[roots % (n + 1) > 0]))
+    _, lo, hi, _ = _top_sends(first, last, sends, n + 1)
+    cones = int(np.count_nonzero(bridge)) + int((hi - lo).sum())
+    return cones / int(_held(first[bridge], last[bridge], n).max())
 
-    Cut open at the lightest node, the bridges' arcs nest, and the rows
-    below Z(x) are those of the bridges nested in x's: one per S node inside
-    its arc, at positions first[x] .. last[x] - 1 from the lightest node. An
-    apex that an A node, or the root, sends into Z(y) reaches every row of
-    y's nest once, so the apexed cones are the nest sizes of the sends not
-    nested in a send of the same apex; counting every A node as visited,
-    that bounds the cones the sweep holds. The levels number about the
-    depth of the nesting.
+
+def _chunks(lens: np.ndarray) -> Iterator[tuple[int, int, int, np.ndarray]]:
+    """Whole runs of these lengths per chunk of about _CHUNK cells: (runs i .. j - 1, first cell, offsets)."""
+    ends = np.concatenate(([0], np.cumsum(lens)))
+    i = 0
+    while i < len(lens):
+        j = max(i + 1, int(np.searchsorted(ends, ends[i] + _CHUNK, side="right")) - 1)
+        off = (ends[i:j] - ends[i]).astype(np.int32)
+        yield i, j, int(ends[i]), np.arange(ends[j] - ends[i], dtype=np.int32) - np.repeat(off, lens[i:j])
+        i = j
+
+
+def _layout(
+    first: np.ndarray, last: np.ndarray, m0: int, child: np.ndarray, ch_key: np.ndarray, roots: np.ndarray
+) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray, np.ndarray]:
+    """Pass 1 of the sweep: the visited cells, laid out by node height and linked, in closed form.
+
+    child[node, j] is child j's node (-1: none), ch_key[node, j] its key less
+    any apex it inherits; the bridge at position q is (q + m0) % n. A(x) and
+    Z(x) ask only for nodes of bridges nested in x, and reach every A node of
+    x's nest: Z(x) asks for A(x), Z(lc[x]) and Z(rc[x]); A(x), u its lighter
+    end, for A(rc[x]) and the Z rows of rc[x]'s children when x is next to u,
+    else for A(lc[x]) and Z(rc[x]) (mirrored for v), so it covers its nest by
+    induction from the leaves. The visited A nodes are thus the roots' nests:
+    all when v1 and v2 are adjacent (n > 3), else all but rank[2]
+    (expand_root takes that cone apart) and one-triangle roots. Z(y) holds
+    one cell per top send (_top_sends) of these or the root that reaches y.
+    Top sends nest, so those reaching y form a chain: send s takes slot
+    depth(s), its depth among all top sends, in Z(y)'s row, and Z(y)'s cell
+    at slot d has the children A(y), Z(lc[y]) and Z(rc[y]) at slot d; a
+    send itself sits at the slot of the top send that nests it.
+
+    Returns each level's run of cells (level 0 first), the (3, cells) int32
+    table of each child j's cell (-1: none), the keys (-1: unwritten) and a
+    last -1 for an absent child, and the roots' cells.
     """
-    poly = table.poly
-    n, m0 = poly.n, poly.rank[0]
-    U, V = np.array(table.left, np.int64), np.array(table.right, np.int64)
-    bridge = U >= 0
-    first = (U - m0) % n + 1
-    last = np.where(V == m0, n, (V - m0) % n)
-    depth = np.cumsum(
-        np.bincount(first[bridge], minlength=n + 1) - np.bincount(last[bridge], minlength=n + 1)
-    )
-    sent = child[:n, 1:] >= n
-    keys = np.concatenate((ch_key[:n, 1:][sent], roots[roots % (n + 1) > 0]))
-    x, apex = np.divmod(keys, n + 1)
-    lo, hi = first[x], last[x]
-    o = np.lexsort((-hi, lo, apex))
-    lo, hi, apex = lo[o], hi[o], apex[o]
-    # a send is nested in an earlier send of its apex when that one's nest reaches past it
-    reach = np.maximum.accumulate(np.concatenate(([-1], (apex * (n + 1) + hi)[:-1])))
-    top = reach <= apex * (n + 1) + lo
-    cones = len(table) + int((hi - lo)[top].sum())
-    return cones, cones / int(depth.max())
+    n, n1 = len(first), len(first) + 1
+    pos = (np.arange(n) - m0) % n
+    seen = _held(first[roots // n1], last[roots // n1], n)[pos] > 0
+    sent = (child[:n, 1:] >= n) & seen[:, None]
+    sends = np.concatenate((ch_key[:n, 1:][sent], roots[roots % n1 > 0]))
+    k, lo, hi, cover = _top_sends(first, last, sends, n1)
+    o = np.lexsort((k, -hi, lo))
+    depth = np.empty(len(k), np.int64)
+    depth[o] = np.arange(len(k)) - np.searchsorted(np.sort(hi), lo[o], side="right")
+    bridge = child[n:, 0] >= 0
+    height = _levels(child, _held(first[bridge], last[bridge], n)[pos])
+    order = np.argsort(-height.astype(np.min_scalar_type(-int(height.max()))), kind="stable")  # radix
+    size = np.concatenate((seen, _held(lo, hi, n)[pos]))[order]  # cells per node, in cell order
+    ends = np.concatenate(([0], np.cumsum(size)))
+    start = np.empty(2 * n, np.int32)  # cells number below 2**31, as kids holds them
+    start[order] = ends[:-1]
+    sent_cell = start[n + sends // n1] + depth[cover]  # slot 0 of its Z row, plus its top send's depth
+    keys = np.full(ends[-1] + 1, -1, np.int64)
+    ax = np.flatnonzero(seen)
+    keys[start[ax]] = ax * n1
+    at = (np.arange(n) + m0) % n
+    for i, j, _, d in _chunks(hi - lo):
+        run = hi[i:j] - lo[i:j]
+        q = at[np.repeat(lo[i:j], run) + d]
+        keys[start[n + q] + np.repeat(depth[i:j], run)] = q * n1 + np.repeat(k[i:j], run)
+    # per node, in cell order: child j's cell at slot d is base[j], plus d for a Z node's Z child
+    base = np.where(child >= 0, start[child], -1)
+    base[:n, 1:][sent] = sent_cell[: np.count_nonzero(sent)]
+    base = base[order].T
+    kids = np.empty((3, ends[-1]), np.int32)
+    for i, j, c0, d in _chunks(size):
+        kid = kids[:, c0 : c0 + len(d)]
+        kid[:] = np.repeat(base[:, i:j], size[i:j], axis=1)
+        kid[1:] += (kid[1:] >= 0) * d  # an A node's one cell has d = 0
+    bounds = ends[np.concatenate(([0], np.cumsum(np.bincount(height)[::-1])))].tolist()
+    root_cells = start[roots // n1]
+    root_cells[roots % n1 > 0] = sent_cell[np.count_nonzero(sent) :]
+    return list(zip(bounds[-2::-1], bounds[:0:-1])), kids, keys, root_cells
+
+
+def _check_layout(
+    child: np.ndarray, ch_key: np.ndarray, kids: np.ndarray, keys: np.ndarray, root_cells: np.ndarray
+) -> None:
+    """Raise SolverInvariantError unless _layout's cells are the search's cone graph.
+
+    Every slot is written once (as many keys as slots are written, so a
+    double write leaves a -1), each cell's children carry the keys that its
+    (p, ab, one) shape asks for, and every cell but the roots' is a child.
+    """
+    ncells, n = len(keys) - 1, len(child) // 2
+    want_of = np.where(child >= 0, ch_key, -1).T.copy()  # (3, nodes), less the apex
+    reached = np.zeros(ncells + 1, bool)  # the last entry takes the absent children
+    reached[root_cells] = True
+    for lo in range(0, ncells, _CHUNK):
+        key, kid = keys[lo : min(lo + _CHUNK, ncells)], kids[:, lo : lo + _CHUNK]
+        if key.min() < 0:
+            raise SolverInvariantError(f"the sweep wrote no cone into cell {lo + int(key.argmin())}")
+        x, k = np.divmod(key, n + 1)
+        want = np.take(want_of, np.where(k > 0, x + n, x), axis=1)
+        np.add(want[1:], k, out=want[1:], where=want[1:] >= 0)
+        bad = np.take(keys, kid) != want
+        if bad.any():
+            j, c = divmod(int(bad.argmax()), len(key))
+            raise SolverInvariantError(f"cell {lo + c} (key {key[c]}) has a wrong child {j}")
+        reached[kid] = True
+    if not reached[:-1].all():
+        raise SolverInvariantError(f"cell {int(reached.argmin())} is no cell's child")
 
 
 def _sweep(
@@ -512,29 +505,21 @@ def _sweep(
 ) -> tuple[int, int, np.ndarray, np.ndarray, Callable[[], tuple[int, np.ndarray]]] | None:
     """The search's visited cones, valued level by level in numpy, and their walk.
 
-    Returns (visited_cones, memo_hits, keys, values, walk): the counts as
-    the loop (_search) would give them, each visited cone's packed key and
-    value (one cell each), and walk(), which returns the optimum and one
-    optimal edge set read off the cells, as sorted (a, b) rows, a < b; or None, having valued nothing,
-    when _width expects fewer than SWEEP_MIN_WIDTH cones per level, too few
-    to pay for the levels' numpy calls (sorted or tie-heavy weights nest n
-    deep with a few cones each).
+    Returns (visited_cones, memo_hits, keys, values, walk): the loop's
+    counts (_search), each visited cone's packed key and value (one cell
+    each), and walk(), which returns the optimum and one optimal edge set as
+    sorted (a, b) rows, a < b; or None, having valued nothing, when _width
+    expects fewer than SWEEP_MIN_WIDTH cones per level.
 
-    Every cone expansion is _cone_shape's, so the cones fall into two nodes
-    per bridge x (named by its S node): A(x), its apexless cone, and Z(x),
-    its row of apexed cones. Z(x) expands into A(x), Z(lc[x]) and Z(rc[x])
-    with the same apex; A(x) into the apexless cone of bridge ab when
-    ``one`` is set, and into ab's children lc[ab] and rc[ab]. The search
-    never prunes, so which cones it visits depends on the polygon alone:
-    _visit lists them top-down by node height as packed keys x * (n + 1) + k,
-    k = apex + 1 or 0, one sort per level. The values then go bottom-up,
-    a few whole-level expressions per level. They are int64 while the
-    largest value so far proves the next level's sums fit, and object (exact
-    ints) from the first level where they may not, as in yao_solver. Each
-    cell keeps whether branch 1 won (it wins ties, as in
-    reconstruct_triangulation) and, in rows 1 and 2 of the kid table, the
-    cells of that branch's children, so the walk goes down from the
-    root's cells one generation at a time, in numpy, with no lookup by key.
+    The cones fall into two nodes per bridge x: A(x), its apexless cone, and
+    Z(x), its row of apexed cones (_cone_shape). _layout lays the visited
+    cells out by node height and links them, with no search and no sort;
+    _check_layout proves them the cone graph. The values go bottom-up, a few
+    whole-level expressions per level, in int64 while the largest value so
+    far proves the next level's sums fit, then in object dtype, as in
+    yao_solver. Each cell keeps whether branch 1 won (it wins ties) and, in
+    rows 1 and 2 of the kid table, that branch's children, so the walk steps
+    down from the root's cells one generation at a time, with no lookup.
     """
     n, w, n1 = poly.n, poly.weights, poly.n + 1
     fvec = f.vec
@@ -569,11 +554,14 @@ def _sweep(
     child[~np.concatenate((bridge, bridge))] = -1  # the two lightest name no bridge
     root = [x * n1 + k for x, k, u, v in _root_cones(table)[1] if x >= 0 and (k or (v - u) % n > 2)]
     roots = np.array(root, np.int64)
-    cones, width = _width(table, child, ch_key, roots)
-    if width < SWEEP_MIN_WIDTH:
+    m0 = poly.rank[0]
+    first, last = (U - m0) % n + 1, np.where(V == m0, n, (V - m0) % n)  # the nest of x's bridge
+    if _width(first, last, child, ch_key, roots) < SWEEP_MIN_WIDTH:
         return None
-    spans, kids, keys, a_cell, root_cells, pushes = _visit(child, ch_key, roots, n1, cones)
-    ncells = len(keys)
+    spans, kids, keys, root_cells = _layout(first, last, m0, child, ch_key, roots)
+    _check_layout(child, ch_key, kids, keys, root_cells)
+    keys, ncells = keys[:-1], len(keys) - 1
+    pushes = len(roots) + int(np.count_nonzero(kids >= 0))
 
     # per-bridge weights and constants: A(x)'s triangle and base children
     tmax = int64_watch_bound(poly, f)
@@ -611,13 +599,12 @@ def _sweep(
         x, k = np.divmod(keys[lo:hi], n1)
         kid = kids[:, lo:hi]
         z, c1, c2 = consts(x, k)
-        kid0 = np.where(z, a_cell[x], kid[0])  # every cell of Z(x) reads A(x)
         val = value[kid[1]] + value[kid[2]] + c2
-        alt = value[kid0] + c1
+        alt = value[kid[0]] + c1
         b1 = won[lo:hi] = (z | one[x]) & (alt <= val)
         val = value[lo:hi] = np.where(b1, alt, val)
         # from here on, rows 1 and 2 name the children of the branch that won
-        kid[1] = np.where(b1, kid0, kid[1])
+        kid[1] = np.where(b1, kid[0], kid[1])
         kid[2, b1] = -1
         if tmax is not None:
             peak = max(peak, int(val.max()))

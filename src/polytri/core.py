@@ -270,7 +270,14 @@ class Triangulation:
     weight: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", frozenset(norm_edge(a, b) for a, b in self.edges))
+        index = operator.index  # the rule _edge_set applies: numpy integers become ints
+        try:
+            edges = frozenset(norm_edge(index(a), index(b)) for a, b in self.edges)
+        except TypeError:
+            for pair in self.edges:  # still there unless given as an iterator: name the edge
+                _index_pair(pair)
+            raise ValueError("an edge has an endpoint that is not an integer") from None
+        object.__setattr__(self, "edges", edges)
 
 
 @dataclass(frozen=True)
@@ -283,18 +290,22 @@ class ValidationResult:
         return self.ok
 
 
+def _index_pair(pair: Iterable) -> Edge:
+    """The pair's endpoints through operator.index, the rule as_ints applies to weights."""
+    a, b = pair
+    try:
+        return operator.index(a), operator.index(b)
+    except TypeError:
+        raise ValueError(f"edge {tuple(pair)!r} has an endpoint that is not an integer") from None
+
+
 def _edge_set(poly: Polygon, edges: Iterable[Edge] | Triangulation) -> set[Edge]:
     if isinstance(edges, Triangulation):
         edges = edges.edges
     n = poly.n
     out: set[Edge] = set()
-    index = operator.index  # the rule as_ints applies to weights
     for pair in edges:
-        a, b = pair
-        try:
-            a, b = index(a), index(b)
-        except TypeError:
-            raise ValueError(f"edge {tuple(pair)!r} has an endpoint that is not an integer") from None
+        a, b = _index_pair(pair)
         if a == b:
             raise ValueError(f"degenerate edge ({a}, {b})")
         if not (0 <= a < n and 0 <= b < n):

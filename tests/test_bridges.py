@@ -182,6 +182,25 @@ class TestCones:
             Cone(2, 5, 1),
         ]
 
+    @settings(deadline=None, max_examples=80)
+    @given(
+        weights=st.one_of(
+            st.lists(st.integers(1, 10**6), min_size=3, max_size=200),
+            st.lists(st.integers(1, 4), min_size=3, max_size=200),
+            st.integers(2, 100).map(lambda h: gen_staircase(h).weights),
+        ),
+        turn=st.integers(0, 199),
+    )
+    def test_total_cones_is_the_census_sum(self, weights, turn):
+        # random, tie-heavy and rotated staircase polygons
+        turn %= len(weights)
+        poly = Polygon(tuple(weights[turn:]) + tuple(weights[:turn]))
+        table = find_bridges_linear(poly)
+        rank_of = poly.rank_of
+        census = sum(1 + min(rank_of[u], rank_of[v]) for u, v in zip(table.left, table.right) if u >= 0)
+        total = table.total_cones()
+        assert type(total) is int and total == census
+
     @pytest.mark.parametrize("half_n", [2, 3, 10])
     def test_staircase_total_cones_closed_form(self, half_n):
         table = find_bridges_linear(gen_staircase(half_n))

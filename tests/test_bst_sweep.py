@@ -13,6 +13,7 @@ to run the sweep on small and thin polygons too.
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -185,14 +186,72 @@ def test_cells_are_the_visited_cones():
     assert set(keys) == set(memo) < census
 
 
-def test_cells_past_the_width_bound_raise(monkeypatch):
-    # _width's count bounds the cells, so the kid table is sized once
-    poly = gen_random(60, 5)
+def _corrupt(kind, layout):
+    """_layout with one fault planted in what it returns."""
+
+    def planted(*args):
+        spans, kids, keys, root_cells = layout(*args)
+        i = int(np.flatnonzero(kids[1] >= 0)[0])  # a cell with a child 1
+        if kind == "child":  # child 1 names the next cell, which holds another cone
+            kids[1, i] = kids[1, i] + 1
+        elif kind == "unwritten":
+            keys[i] = -1
+        elif kind == "twice":  # one cone written into two slots, the second one's own lost
+            keys[kids[1, i]] = keys[i]
+        else:  # "orphan": the roots' cells go missing, so no cell names them
+            root_cells = root_cells[:0]
+        return spans, kids, keys, root_cells
+
+    return planted
+
+
+FAULTS = {"child": "wrong child", "unwritten": "wrote no cone", "twice": "wrong child", "orphan": "no cell's child"}
+
+
+@pytest.mark.parametrize("kind", sorted(FAULTS))
+@pytest.mark.parametrize("poly", [gen_random(60, 5), gen_staircase(8)], ids=["random", "staircase"])
+def test_corrupt_layout_raises(poly, kind, monkeypatch):
+    # _check_layout proves the laid-out cells are the cone graph before any is valued
     table = find_bridges_linear(poly)
-    width = bst_solver._width
-    monkeypatch.setattr(bst_solver, "_width", lambda *args: (width(*args)[0] // 2, 10**9))
-    with pytest.raises(SolverInvariantError, match="_width bounds"):
-        _sweep(poly, table, FNS["add"])
+    monkeypatch.setattr(bst_solver, "_layout", _corrupt(kind, bst_solver._layout))
+    with pytest.raises(SolverInvariantError, match=FAULTS[kind]):
+        sweep(poly, table, FNS["add"])
+
+
+@st.composite
+def root_shapes(draw):
+    """A random, tie-heavy (weights to 30) or rotated staircase polygon, v1 and v2 adjacent or not as drawn.
+
+    When the drawn polygon has the other root shape, two of its nodes are made
+    the two lightest, next to each other or apart.
+    """
+    kind = draw(st.sampled_from(["random", "ties", "staircase"]))
+    if kind == "staircase":
+        w = list(gen_staircase(draw(st.integers(2, 40))).weights)
+    else:
+        w = draw(st.lists(st.integers(1, 30 if kind == "ties" else 10**4), min_size=4, max_size=90))
+    n = len(w)
+    turn = draw(st.integers(0, n - 1))
+    w = w[turn:] + w[:turn]
+    adjacent = draw(st.booleans())
+    v1, v2 = Polygon(tuple(w)).rank[:2]
+    if ((v2 - v1) % n in (1, n - 1)) != adjacent:
+        i = draw(st.integers(0, n - 1))
+        j = (i + draw(st.sampled_from([1, n - 1]) if adjacent else st.integers(2, n - 2))) % n
+        w = [x + 2 for x in w]
+        w[i], w[j] = 1, 2
+    poly = Polygon(tuple(w))
+    v1, v2 = poly.rank[:2]
+    assert ((v2 - v1) % n in (1, n - 1)) == adjacent
+    return poly
+
+
+@settings(deadline=None, max_examples=150)
+@given(poly=root_shapes(), f=st.sampled_from(WEIGHT_FNS))
+def test_sweep_equals_loop_on_both_root_shapes(poly, f):
+    # the closed-form layout holds exactly the loop's memo: keys, values, visited and hits
+    f.ensure_monotonic()
+    assert_sweep_matches_loop(poly, f)
 
 
 @pytest.mark.parametrize("fname", ["mult", "add", "custom"])

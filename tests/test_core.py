@@ -214,6 +214,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="not an integer"):
             triangulation_weight(QUAD, [edge], TriangleWeightFn.additive())
 
+    @pytest.mark.parametrize("edge", [(0.5, 2.9), (2.5, 0), (Fraction(2), 0), ("0", 2)])
+    def test_triangulation_refuses_non_integral_endpoints(self, edge):
+        # the rule and message of validate_triangulation; an iterator's edge cannot be named
+        with pytest.raises(ValueError, match=re.escape(f"edge {edge!r} has an endpoint")):
+            Triangulation(frozenset({(1, 3), edge}), 1)
+        with pytest.raises(ValueError, match="has an endpoint that is not an integer"):
+            Triangulation(iter([(1, 3), edge]), 1)
+
+    def test_triangulation_takes_numpy_integers_as_ints(self):
+        tri = Triangulation([(np.int64(2), np.int32(0)), (1, np.int64(3))], 25)
+        assert tri.edges == frozenset({(0, 2), (1, 3)})
+        assert all(type(v) is int for e in tri.edges for v in e)
+
     def test_accepts_numpy_integer_endpoints(self):
         edges = [(np.int64(0), np.int32(2))]
         assert validate_triangulation(QUAD, edges).ok
