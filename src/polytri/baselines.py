@@ -44,9 +44,6 @@ def solve_dp_cubic(
     f.ensure_monotonic()
     check_accumulator_bound(poly, f)
     n, w = poly.n, poly.weights
-    if n == 3:
-        val = f.fn(w[0], w[1], w[2])
-        return val, Triangulation(frozenset(), val)
     if engine == "auto":
         wmax = max(w)
         min_n = OBJECT_NUMPY_MIN_N if f.fn(wmax, wmax, wmax) >= INT64_LIMIT else NUMPY_MIN_N

@@ -15,6 +15,7 @@ the only subproblems the solvers ever evaluate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,9 +73,16 @@ class BridgeTable:
             raise KeyError(f"({u}, {v}) is not a bridge")
         return x
 
+    @cached_property
+    def arrays(self) -> np.ndarray:
+        """The rows left, right, lc, rc and rank_of: one read-only int64 array, made once per table."""
+        out = np.array((self.left, self.right, self.lc, self.rc, self.poly.rank_of), np.int64)
+        out.flags.writeable = False
+        return out
+
     def total_cones(self) -> int:
         """One apexless cone per bridge plus one cone per valid apex."""
-        rank_of, u, v = (np.array(a) for a in (self.poly.rank_of, self.left, self.right))
+        u, v, _, _, rank_of = self.arrays
         return len(self) + int(np.minimum(rank_of[u], rank_of[v])[u >= 0].sum())
 
 

@@ -20,8 +20,8 @@ The sweep lays the same visited cones out in numpy, in closed form from the
 bridge nesting (which cones the search visits depends on the polygon alone),
 and values them bottom-up, a few numpy calls per level of the cone graph.
 So hash solves take it only from ``SWEEP_MIN_N`` nodes on, when the weight
-function has a ``vec`` and ``_width`` expects at least ``SWEEP_MIN_WIDTH``
-cones per level; the loop runs everything else, including sorted or
+function has a ``vec`` and the layout counts at least ``SWEEP_MIN_WIDTH``
+cells per nest level; the loop runs everything else, including sorted or
 tie-heavy polygons, whose cone graph is n levels deep with a few cones on
 each. ``reconstruct_triangulation`` walks one winning edge set over solved
 values by packed key, for the loop and yao_solver; the sweep walks its own
@@ -53,7 +53,7 @@ from .core import (
 
 DENSE_CAP = 2000  # the largest n the dense memo accepts: its list holds n * (n + 1) cells
 SWEEP_MIN_N = 800  # from here on, hash solves with a vec may take the sweep (measured crossover)
-SWEEP_MIN_WIDTH = 200  # the cones per level from which the sweep beats the loop (measured)
+SWEEP_MIN_WIDTH = 200  # the cells per nest level from which the sweep beats the loop (measured)
 _CHUNK = 2**17  # cells per chunk of the sweep's pass 1 and its check, to bound their temporaries
 
 __all__ = [
@@ -226,28 +226,49 @@ def expand_root(poly: Polygon) -> list[Branch]:
     ]
 
 
-def _root_cones(table: BridgeTable) -> tuple[tuple[Edge, ...], list[tuple[int, int, int, int]]]:
-    """The root's forced edges and its cones as (x, k, u, v).
+def _cone_values(poly: Polygon, f: TriangleWeightFn, get: Callable[[int], int | None]) -> Callable[..., tuple]:
+    """The walks' base rule as cone(x, k, a, b): cone (a, b), S node x (-1: one side), apex k - 1.
 
-    Each is the cone of bridge (u, v), x = S(u, v) or -1 when u and v are
-    adjacent, with apex k - 1 (k = 0: none). With the two lightest nodes
-    adjacent, the whole polygon is the apexless cone of the bridge between
-    them, so the root takes part in the memo; otherwise the root is
-    expand_root's single, forced, branch.
+    A base cone gives key -1 and its value (on one side, its apex's triangle
+    or none; apexless with one interior node x, the triangle (a, x, b)), any
+    other its packed key x * (n + 1) + k and get(key).
+    """
+    n, w, fw = poly.n, poly.weights, f.fn
+    n1 = n + 1
+
+    def cone(x: int, k: int, a: int, b: int) -> tuple[int, int | None]:
+        if x < 0:
+            return -1, fw(w[a], w[b], w[k - 1]) if k else 0
+        if not k and (b - a) % n == 2:
+            return -1, fw(w[a], w[x], w[b])
+        key = x * n1 + k
+        return key, get(key)
+
+    return cone
+
+
+def _root(table: BridgeTable, f: TriangleWeightFn) -> tuple[tuple[Edge, ...], list[int], int]:
+    """The root's forced edges, the packed keys of its non-base cones and the value of its base ones.
+
+    With the two lightest nodes adjacent, the whole polygon is the apexless
+    cone of the bridge between them, so the root takes part in the memo;
+    otherwise the root is expand_root's single, forced, branch.
     """
     poly = table.poly
     n = poly.n
     v1, v2 = poly.rank[0], poly.rank[1]
+    cone = _cone_values(poly, f, lambda key: None)  # only the base cones' values are read
     if (v2 - v1) % n == 1:
-        return (), [(table.rc[v2], 0, v2, v1)]
-    if (v1 - v2) % n == 1:
-        return (), [(table.lc[v2], 0, v1, v2)]
-    (br,) = expand_root(poly)
-    out = []
-    for c in br.children:
-        x = table.s_node(c.u, c.v) if (c.v - c.u) % n > 1 else -1
-        out.append((x, 0 if c.apex is None else c.apex + 1, c.u, c.v))
-    return br.edges, out
+        edges, vals = (), [cone(table.rc[v2], 0, v2, v1)]
+    elif (v1 - v2) % n == 1:
+        edges, vals = (), [cone(table.lc[v2], 0, v1, v2)]
+    else:
+        (br,) = expand_root(poly)
+        edges, vals = br.edges, []
+        for c in br.children:
+            x = table.s_node(c.u, c.v) if (c.v - c.u) % n > 1 else -1
+            vals.append(cone(x, 0 if c.apex is None else c.apex + 1, c.u, c.v))
+    return edges, [key for key, _ in vals if key >= 0], sum(val for key, val in vals if key < 0)
 
 
 def _cone_shape(table: BridgeTable, x: int, k: int) -> tuple[int, int, bool]:
@@ -285,7 +306,7 @@ def reconstruct_triangulation(
     with packed key x*(n + 1) + k: the cone of the bridge whose S node is x,
     with apex k - 1 (k = 0: none); base cones are valued directly and never
     looked up. The root is evaluated first, as the sum of its cones
-    (_root_cones). Returns (optimal weight, edges).
+    (_root). Returns (optimal weight, edges).
 
     Each cone is expanded in its (p, ab, one) shape (_cone_shape). Branch 1
     is taken when it reproduces the solved value, so it wins ties as in the
@@ -295,25 +316,14 @@ def reconstruct_triangulation(
     n, w, fw = poly.n, poly.weights, f.fn
     left, right, lc, rc = table.left, table.right, table.lc, table.rc
     n1 = n + 1
-
-    def cone(x: int, k: int, a: int, b: int) -> tuple[int, int]:
-        """(key, value) of cone (a, b), S node x (-1: one side), apex k - 1; key -1: base."""
-        if x < 0:
-            return -1, fw(w[a], w[b], w[k - 1]) if k else 0
-        if not k and (b - a) % n == 2:
-            return -1, fw(w[a], w[x], w[b])
-        key = x * n1 + k
-        return key, get(key)
-
-    root_edges, roots = _root_cones(table)
+    cone = _cone_values(poly, f, get)
+    root_edges, keys, opt = _root(table, f)
     edges: list[Edge] = list(root_edges)
     stack: list[int] = []  # non-base cones to walk, as key, value pairs
-    opt = 0
-    for x, k, u, v in roots:
-        key, val = cone(x, k, u, v)
+    for key in keys:
+        val = get(key)
         opt += val
-        if key >= 0:
-            stack += key, val
+        stack += key, val
     while stack:
         val = stack.pop()
         x, k = divmod(stack.pop(), n1)
@@ -384,18 +394,6 @@ def _top_sends(first: np.ndarray, last: np.ndarray, sends: np.ndarray, n1: int) 
     return k[top], lo[top], hi[top], cover
 
 
-def _width(
-    first: np.ndarray, last: np.ndarray, child: np.ndarray, ch_key: np.ndarray, roots: np.ndarray
-) -> float:
-    """Cones per level to expect: all A nodes and all their sends, over the nesting depth."""
-    n = len(first)
-    bridge = child[n:, 0] >= 0  # Z(x) asks for A(x)
-    sends = np.concatenate((ch_key[:n, 1:][child[:n, 1:] >= n], roots[roots % (n + 1) > 0]))
-    _, lo, hi, _ = _top_sends(first, last, sends, n + 1)
-    cones = int(np.count_nonzero(bridge)) + int((hi - lo).sum())
-    return cones / int(_held(first[bridge], last[bridge], n).max())
-
-
 def _chunks(lens: np.ndarray) -> Iterator[tuple[int, int, int, np.ndarray]]:
     """Whole runs of these lengths per chunk of about _CHUNK cells: (runs i .. j - 1, first cell, offsets)."""
     ends = np.concatenate(([0], np.cumsum(lens)))
@@ -409,7 +407,7 @@ def _chunks(lens: np.ndarray) -> Iterator[tuple[int, int, int, np.ndarray]]:
 
 def _layout(
     first: np.ndarray, last: np.ndarray, m0: int, child: np.ndarray, ch_key: np.ndarray, roots: np.ndarray
-) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray, np.ndarray] | None:
     """Pass 1 of the sweep: the visited cells, laid out by node height and linked, in closed form.
 
     child[node, j] is child j's node (-1: none), ch_key[node, j] its key less
@@ -427,9 +425,11 @@ def _layout(
     at slot d has the children A(y), Z(lc[y]) and Z(rc[y]) at slot d; a
     send itself sits at the slot of the top send that nests it.
 
-    Returns each level's run of cells (level 0 first), the (3, cells) int32
-    table of each child j's cell (-1: none), the keys (-1: unwritten) and a
-    last -1 for an absent child, and the roots' cells.
+    Below SWEEP_MIN_WIDTH cells (visited A nodes plus each top send's reach)
+    per nest level, where the loop is faster, returns None, having laid out
+    nothing. Else returns each level's run of cells (level 0 first), the
+    (3, cells) int32 table of each child j's cell (-1: none), the keys (-1:
+    unwritten) and a last -1 for an absent child, and the roots' cells.
     """
     n, n1 = len(first), len(first) + 1
     pos = (np.arange(n) - m0) % n
@@ -437,11 +437,14 @@ def _layout(
     sent = (child[:n, 1:] >= n) & seen[:, None]
     sends = np.concatenate((ch_key[:n, 1:][sent], roots[roots % n1 > 0]))
     k, lo, hi, cover = _top_sends(first, last, sends, n1)
+    bridge = child[n:, 0] >= 0
+    nest = _held(first[bridge], last[bridge], n)[pos]
+    if np.count_nonzero(seen) + int((hi - lo).sum()) < SWEEP_MIN_WIDTH * int(nest.max()):
+        return None
     o = np.lexsort((k, -hi, lo))
     depth = np.empty(len(k), np.int64)
     depth[o] = np.arange(len(k)) - np.searchsorted(np.sort(hi), lo[o], side="right")
-    bridge = child[n:, 0] >= 0
-    height = _levels(child, _held(first[bridge], last[bridge], n)[pos])
+    height = _levels(child, nest)
     order = np.argsort(-height.astype(np.min_scalar_type(-int(height.max()))), kind="stable")  # radix
     size = np.concatenate((seen, _held(lo, hi, n)[pos]))[order]  # cells per node, in cell order
     ends = np.concatenate(([0], np.cumsum(size)))
@@ -508,8 +511,8 @@ def _sweep(
     Returns (visited_cones, memo_hits, keys, values, walk): the loop's
     counts (_search), each visited cone's packed key and value (one cell
     each), and walk(), which returns the optimum and one optimal edge set as
-    sorted (a, b) rows, a < b; or None, having valued nothing, when _width
-    expects fewer than SWEEP_MIN_WIDTH cones per level.
+    sorted (a, b) rows, a < b; or None, having valued nothing, when _layout
+    counts fewer than SWEEP_MIN_WIDTH cells per nest level.
 
     The cones fall into two nodes per bridge x: A(x), its apexless cone, and
     Z(x), its row of apexed cones (_cone_shape). _layout lays the visited
@@ -523,9 +526,8 @@ def _sweep(
     """
     n, w, n1 = poly.n, poly.weights, poly.n + 1
     fvec = f.vec
-    U, V, LC, RC = (np.array(a, np.int64) for a in (table.left, table.right, table.lc, table.rc))
+    U, V, LC, RC, R = table.arrays
     bridge = U >= 0
-    R = np.array(poly.rank_of, np.int64)
 
     # A(x) in _cone_shape's (p, ab, one) form, with m = ab
     rows = np.arange(n)
@@ -552,13 +554,14 @@ def _sweep(
         child[zrows, j] = np.where(c >= 0, n + c, -1)
         ch_key[zrows, j] = c * n1
     child[~np.concatenate((bridge, bridge))] = -1  # the two lightest name no bridge
-    root = [x * n1 + k for x, k, u, v in _root_cones(table)[1] if x >= 0 and (k or (v - u) % n > 2)]
+    root_edges, root, base = _root(table, f)
     roots = np.array(root, np.int64)
     m0 = poly.rank[0]
     first, last = (U - m0) % n + 1, np.where(V == m0, n, (V - m0) % n)  # the nest of x's bridge
-    if _width(first, last, child, ch_key, roots) < SWEEP_MIN_WIDTH:
+    laid = _layout(first, last, m0, child, ch_key, roots)
+    if laid is None:
         return None
-    spans, kids, keys, root_cells = _layout(first, last, m0, child, ch_key, roots)
+    spans, kids, keys, root_cells = laid
     _check_layout(child, ch_key, kids, keys, root_cells)
     keys, ncells = keys[:-1], len(keys) - 1
     pushes = len(roots) + int(np.count_nonzero(kids >= 0))
@@ -620,7 +623,6 @@ def _sweep(
         give its cell's stored value, or a walk that does not yield n - 3
         distinct edges, raises SolverInvariantError.
         """
-        root_edges, root_cones = _root_cones(table)
         walked = []
         front = root_cells
         while len(front):
@@ -648,12 +650,7 @@ def _sweep(
         distinct = len(e) - np.count_nonzero(e[1:] == e[:-1])
         if len(e) != n - 3 or distinct != len(e):
             raise SolverInvariantError(f"the walk produced {distinct} distinct edges, wanted {n - 3}")
-        opt = sum(value[root_cells].tolist())
-        for _, apex, u, v in root_cones:
-            cone = Cone(u, v, apex - 1 if apex else None)
-            if is_base_cone(poly, cone):
-                opt += cone_value_base(poly, cone, f)
-        return opt, np.stack(np.divmod(e, n), axis=1)
+        return sum(value[root_cells].tolist()) + base, np.stack(np.divmod(e, n), axis=1)
 
     return ncells, pushes - ncells, keys, value[:-1], walk
 
@@ -677,10 +674,7 @@ def _search(
     lookup = memo.get if type(memo) is dict else memo.__getitem__
     visited = hits = 0
 
-    # the root's non-base cones; base ones are valued by the walk
-    work: list = [
-        x * n1 + k for x, k, u, v in _root_cones(table)[1] if x >= 0 and (k or (v - u) % n > 2)
-    ]
+    work: list = _root(table, f)[1]  # the root's non-base cones; base ones are valued by the walk
 
     # Work stack: an int is a cone key to expand; a tuple is a combine
     # record (key, const2, child2A, child2B[, const1, child1]) for branch 2
@@ -768,9 +762,9 @@ def solve_bst(
     agree in value, edges, visited_cones and memo_hits; stats.engine names the one that
     ran. A hash solve of n >= SWEEP_MIN_N nodes whose weight function has a
     ``vec`` takes the numpy sweep (exact past int64 like yao_solver's vector
-    engine) when it expects at least SWEEP_MIN_WIDTH cones per level of its
-    cone graph: the sweep's cost grows with the levels, the loop's with the
-    cones. Every other solve takes the loop.
+    engine) when its layout counts at least SWEEP_MIN_WIDTH cells per nest
+    level, the deepest nesting of its bridges: the sweep's cost grows with
+    the levels, the loop's with the cones. Every other solve takes the loop.
     """
     t0 = time.perf_counter_ns()
     if backend not in ("hash", "dense"):

@@ -47,16 +47,21 @@ __all__ = ["solve_yao"]
 
 def _sweep_scalar(
     poly: Polygon, table: BridgeTable, order: list[int], f: TriangleWeightFn
-) -> dict[tuple[int, int, int | None], int]:
+) -> dict[int, int]:
+    """Every non-base cone's value by packed key x * (n + 1) + k, x its S node and k = apex + 1 or 0."""
     w = poly.weights
     fw = f.fn
     rank, rank_of = poly.rank, poly.rank_of
-    value: dict[tuple[int, int, int | None], int] = {}
+    lc, rc = table.lc, table.rc
+    n1 = poly.n + 1
+    value: dict[int, int] = {}
 
     def val_of(c: Cone) -> int:
         if is_base_cone(poly, c):
             return cone_value_base(poly, c, f)
-        return value[(c.u, c.v, c.apex)]
+        u, v = c.u, c.v
+        x = lc[v] if rank_of[u] < rank_of[v] else rc[u]  # S(u, v), as BridgeTable.s_node
+        return value[x * n1 + (0 if c.apex is None else c.apex + 1)]
 
     for x in order:
         u, v = table.left[x], table.right[x]
@@ -64,9 +69,8 @@ def _sweep_scalar(
         for apex in (None, *(rank[r] for r in range(m))):
             cone = Cone(u, v, apex)
             if is_base_cone(poly, cone):
-                value[(u, v, apex)] = cone_value_base(poly, cone, f)
-                continue
-            value[(u, v, apex)] = min(
+                continue  # valued where it is read
+            value[x * n1 + (0 if apex is None else apex + 1)] = min(
                 sum(fw(w[a], w[b], w[c]) for a, b, c in br.triangles)
                 + sum(val_of(ch) for ch in br.children)
                 for br in expand_cone(cone, table)
@@ -161,17 +165,12 @@ def solve_yao(
 
     left, right = table.left, table.right
     order = sorted((x for x in range(n) if left[x] >= 0), key=lambda x: (right[x] - left[x]) % n)
-    n1 = n + 1
     if engine == "scalar":
-        value = _sweep_scalar(poly, table, order, f)
-
-        def get(key: int) -> int:
-            x, k = divmod(key, n1)
-            return value[(left[x], right[x], k - 1 if k else None)]
-
+        get = _sweep_scalar(poly, table, order, f).__getitem__
     else:
         v0, vz = _sweep_vector(poly, table, order, f)
         rank_of = poly.rank_of
+        n1 = n + 1
 
         def get(key: int) -> int:
             x, k = divmod(key, n1)

@@ -83,8 +83,9 @@ class TestBruteforce:
 class TestCubicDP:
     def test_triangle(self, weight_fns):
         poly = Polygon((2, 3, 4))
-        opt, tri = solve_dp_cubic(poly, weight_fns["mult"])
-        assert opt == 24 and tri.edges == frozenset()
+        for engine in ("auto", "python", "numpy"):
+            opt, tri = solve_dp_cubic(poly, weight_fns["mult"], engine=engine)
+            assert opt == tri.weight == 24 and tri.edges == frozenset()
 
     def test_matches_bruteforce(self, weight_fns):
         rng = random.Random(17)
@@ -183,6 +184,16 @@ class TestCubicDP:
     def test_rejects_unknown_engine(self):
         with pytest.raises(ValueError):
             solve_dp_cubic(Polygon((1, 2, 3, 4)), TriangleWeightFn.additive(), engine="gpu")
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_refusals_hold_for_a_triangle(self, n):
+        # the engine is checked before any solve, whatever n
+        poly = Polygon((4, 5, 6, 7)[:n])
+        with pytest.raises(ValueError, match="unknown engine"):
+            solve_dp_cubic(poly, TriangleWeightFn.additive(), engine="gpu")
+        f_plain = TriangleWeightFn.custom(lambda x, y, z: x + y + z)
+        with pytest.raises(OverflowError, match="refused"):
+            solve_dp_cubic(poly, f_plain, engine="numpy")
 
     def test_accumulator_guard(self):
         fm = TriangleWeightFn.multiplicative()

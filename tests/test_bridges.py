@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -200,6 +201,20 @@ class TestCones:
         census = sum(1 + min(rank_of[u], rank_of[v]) for u, v in zip(table.left, table.right) if u >= 0)
         total = table.total_cones()
         assert type(total) is int and total == census
+
+    @pytest.mark.parametrize("poly", [Polygon((4, 5, 6)), gen_staircase(10), Polygon((3, 1, 4, 1, 5, 9, 2, 6))])
+    def test_arrays_are_the_lists_read_only_and_cached(self, poly):
+        table = find_bridges_linear(poly)
+        arrays = table.arrays
+        lists = (table.left, table.right, table.lc, table.rc, poly.rank_of)
+        assert len(arrays) == len(lists)
+        for a, want in zip(arrays, lists):
+            assert a.dtype == np.int64 and a.tolist() == list(want)
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
+        table.total_cones()
+        assert table.arrays is arrays
 
     @pytest.mark.parametrize("half_n", [2, 3, 10])
     def test_staircase_total_cones_closed_form(self, half_n):

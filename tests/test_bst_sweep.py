@@ -5,9 +5,9 @@ compute the same value for every cone: the sweep's cells must hold exactly
 the keys of the loop's memo, with its values. The sweep's own walk must
 give the optimum and edge set that reconstruct_triangulation reads off the
 same values. solve_bst takes the sweep for hash solves with a
-vectorized weight function from SWEEP_MIN_N nodes on, when it expects at
-least SWEEP_MIN_WIDTH cones per level; the tests below lower both cutoffs
-to run the sweep on small and thin polygons too.
+vectorized weight function from SWEEP_MIN_N nodes on, when the layout
+counts at least SWEEP_MIN_WIDTH cells per nest level; the tests below
+lower both cutoffs to run the sweep on small and thin polygons too.
 """
 
 import random
@@ -31,7 +31,7 @@ from polytri import (
     solve_yao,
 )
 from polytri import bst_solver
-from polytri.bst_solver import SWEEP_MIN_N, _root_cones, _search, _sweep
+from polytri.bst_solver import SWEEP_MIN_N, _root, _search, _sweep
 
 WEIGHT_FNS = [FNS["mult"], FNS["add"], FNS["custom"]]
 
@@ -48,7 +48,7 @@ def corpus():
 
 
 def sweep(poly, table, f):
-    """_sweep, run whatever cones per level it expects."""
+    """_sweep with SWEEP_MIN_WIDTH at 0, so it runs whatever its cells per nest level."""
     with mock.patch.object(bst_solver, "SWEEP_MIN_WIDTH", 0):
         return _sweep(poly, table, f)
 
@@ -145,17 +145,22 @@ def test_past_int64(poly, fname, monkeypatch):
 
 
 def test_dispatch():
+    # each solve's visited cones, memo hits, census and engine, as pinned
     fa = TriangleWeightFn.additive()
-    at = gen_staircase(SWEEP_MIN_N // 2)  # about n / 2 cones per level
-    below = Polygon(at.weights[:-1])
-    assert solve_bst(below, fa)[2].engine == "loop"
-    assert solve_bst(at, fa)[2].engine == "sweep"
-    assert solve_bst(at, fa, backend="dense")[2].engine == "loop"
     plain = TriangleWeightFn.custom(lambda x, y, z: x + y + z)  # no vec
-    assert solve_bst(at, plain)[2].engine == "loop"
+    at = gen_staircase(SWEEP_MIN_N // 2)  # about n / 2 cells per nest level
+    cases = [
+        (Polygon(at.weights[:-1]), fa, "hash", (316412, 315615, 318002, "loop")),
+        (at, fa, "hash", (318004, 317206, 318801, "sweep")),
+        (at, fa, "dense", (318004, 317206, 318801, "loop")),
+        (at, plain, "hash", (318004, 317206, 318801, "loop")),
+        (gen_random(4 * SWEEP_MIN_N, 3), fa, "hash", (23362, 19105, 1743135, "sweep")),
+    ]
+    for poly, f, backend, want in cases:
+        st = solve_bst(poly, f, backend=backend)[2]
+        assert (st.visited_cones, st.memo_hits, st.total_cones, st.engine) == want
     swept, looped = (outcome(solve_bst(at, g)) for g in (fa, plain))
     assert swept == looped  # backend "hash" in both
-    assert solve_bst(gen_random(4 * SWEEP_MIN_N, 3), fa)[2].engine == "sweep"
 
 
 @pytest.mark.parametrize(
@@ -163,10 +168,16 @@ def test_dispatch():
     [range(1, 3001), [7] * 3000, [(i % 2) * 3000 + i + 1 for i in range(3000)]],
     ids=["sorted", "equal", "zigzag"],
 )
-def test_thin_polygons_take_the_loop(weights):
-    # nested n deep with a few cones per level: the loop is many times faster
+def test_thin_polygons_take_the_loop(weights, monkeypatch):
+    # nested n deep with a few cells per nest level: the loop is many times
+    # faster, and the layout hands over before it levels or lays out a cell
     poly = Polygon(tuple(weights))
     fa = TriangleWeightFn.additive()
+
+    def levels(*args):
+        raise AssertionError("_levels reached")
+
+    monkeypatch.setattr(bst_solver, "_levels", levels)
     opt, tri, st = solve_bst(poly, fa)
     assert st.engine == "loop"
     assert st.visited_cones < 2 * poly.n
@@ -287,7 +298,7 @@ def test_walk_refuses_a_corrupt_cell(poly):
             raised += 1
         values[i] -= 1
     # at least the cells that give an edge, all but the root's
-    assert raised >= poly.n - 3 - len(_root_cones(table)[0])
+    assert raised >= poly.n - 3 - len(_root(table, f)[0])
 
 
 @settings(deadline=None, max_examples=60)
