@@ -43,7 +43,8 @@ class BridgeTable:
     children in the Cartesian tree of the weight order (cut open at the
     lightest node, so the second-lightest node's children are S(v1, v2) and
     S(v2, v1)), -1 where the pair is adjacent and at the lightest node:
-    every bridge a cone expands into is one of these.
+    every bridge a cone expands into is one of these. ``apexed`` counts the
+    apexed cones, the sum over the bridges of their lighter endpoint's rank.
     """
 
     poly: Polygon
@@ -51,6 +52,7 @@ class BridgeTable:
     right: list[int]
     lc: list[int]
     rc: list[int]
+    apexed: int
 
     def __len__(self) -> int:
         return len(self.left) - self.left.count(-1)
@@ -75,15 +77,14 @@ class BridgeTable:
 
     @cached_property
     def arrays(self) -> np.ndarray:
-        """The rows left, right, lc, rc and rank_of: one read-only int64 array, made once per table."""
+        """The rows left, right, lc, rc and rank_of: one read-only int64 array, made once, for the sweep."""
         out = np.array((self.left, self.right, self.lc, self.rc, self.poly.rank_of), np.int64)
         out.flags.writeable = False
         return out
 
     def total_cones(self) -> int:
         """One apexless cone per bridge plus one cone per valid apex."""
-        u, v, _, _, rank_of = self.arrays
-        return len(self) + int(np.minimum(rank_of[u], rank_of[v])[u >= 0].sum())
+        return len(self) + self.apexed
 
 
 def _table(poly: Polygon, found: list[tuple[int, int, int]]) -> BridgeTable:
@@ -94,14 +95,18 @@ def _table(poly: Polygon, found: list[tuple[int, int, int]]) -> BridgeTable:
     """
     n, rank_of = poly.n, poly.rank_of
     left, right, lc, rc = [-1] * n, [-1] * n, [-1] * n, [-1] * n
+    apexed = 0  # the valid apexes of (u, v) are the nodes lighter than both
     for u, v, x in found:
         left[x] = u
         right[x] = v
-        if rank_of[u] < rank_of[v]:
+        ru, rv = rank_of[u], rank_of[v]
+        if ru < rv:
             lc[v] = x
+            apexed += ru
         else:
             rc[u] = x
-    return BridgeTable(poly, left, right, lc, rc)
+            apexed += rv
+    return BridgeTable(poly, left, right, lc, rc, apexed)
 
 
 def find_bridges_walk(poly: Polygon) -> BridgeTable:

@@ -20,7 +20,7 @@ edges, visited_cones, memo_hits, total_cones, backend and engine:
 The part "bridges" hashes both finders' tables as sorted (u, v, S) triples.
 The script prints one sha256 (first 16 hex digits) per part and one over
 all parts. pytest does not collect it (no ``test_`` prefix); it takes about
-three and a half minutes on a 2-core host.
+20 seconds on a 2-core host.
 """
 
 from __future__ import annotations

@@ -201,6 +201,7 @@ class TestCones:
         census = sum(1 + min(rank_of[u], rank_of[v]) for u, v in zip(table.left, table.right) if u >= 0)
         total = table.total_cones()
         assert type(total) is int and total == census
+        assert "arrays" not in vars(table)  # the census converts nothing
 
     @pytest.mark.parametrize("poly", [Polygon((4, 5, 6)), gen_staircase(10), Polygon((3, 1, 4, 1, 5, 9, 2, 6))])
     def test_arrays_are_the_lists_read_only_and_cached(self, poly):

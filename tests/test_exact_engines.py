@@ -4,7 +4,9 @@ dp3's numpy engine and Yao's vector engine compute in int64 while the
 values computed so far prove the next step cannot overflow, and in object
 dtype (exact Python ints) from the first step where that proof fails. Each
 case here must give the value and the edge set of the reference engines,
-dp3 "python" and Yao "scalar", which use Python ints throughout.
+which use Python ints throughout: dp3 "python", and Yao "scalar", which
+runs the same sweep as "vector" with ``fn`` applied element-wise in object
+dtype.
 """
 
 import random

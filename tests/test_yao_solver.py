@@ -1,6 +1,7 @@
 """Bottom-up sweep solver: engine parity, census stats, reconstruction."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -106,6 +107,25 @@ class TestSolveYao:
         assert stats.backend == "vector"
         assert opt == 68 * 2**66
         assert validate_triangulation(big, tri).ok
+
+    def test_scalar_engine_keeps_exact_non_integer_values(self):
+        # no vec, so auto runs the scalar engine: fn's Fractions must come
+        # back from the object rows as they are, never truncated to ints
+        f = TriangleWeightFn.custom(lambda x, y, z: Fraction(x * y * z + x + y + z, 7))
+        rng = random.Random(7)
+        fractional = 0
+        for _ in range(25):
+            n = rng.randint(3, 60)
+            poly = Polygon(tuple(rng.randint(1, 10**4) for _ in range(n)))
+            opt, tri, stats = solve_yao(poly, f)
+            assert stats.backend == "scalar"
+            ob, tb, sb = solve_bst(poly, f)
+            assert sb.engine == "loop"
+            op, tp = solve_dp_cubic(poly, f, engine="python")
+            assert opt == ob == op == triangulation_weight(poly, tri, f)
+            assert tri.edges == tb.edges == tp.edges
+            fractional += opt.denominator != 1
+        assert fractional >= 20
 
     def test_rejects_unknown_engine(self):
         with pytest.raises(ValueError, match="unknown engine"):
