@@ -47,8 +47,8 @@ from .core import (
     TriangleWeightFn,
     Triangulation,
     check_accumulator_bound,
-    int64_watch_bound,
     norm_edge,
+    vector_arithmetic,
 )
 
 DENSE_CAP = 2000  # the largest n the dense memo accepts: its list holds n * (n + 1) cells
@@ -525,7 +525,6 @@ def _sweep(
     down from the root's cells one generation at a time, with no lookup.
     """
     n, w, n1 = poly.n, poly.weights, poly.n + 1
-    fvec = f.vec
     U, V, LC, RC, R = table.arrays
     bridge = U >= 0
 
@@ -567,11 +566,8 @@ def _sweep(
     pushes = len(roots) + int(np.count_nonzero(kids >= 0))
 
     # per-bridge weights and constants: A(x)'s triangle and base children
-    tmax = int64_watch_bound(poly, f)
-    obj = tmax is not None and 2 * tmax >= INT64_LIMIT
-    if obj:
-        tmax = None  # object from the start: nothing left to watch
-    W = np.array(w, dtype=object if obj else np.int64)
+    fvec, dtype, tmax = vector_arithmetic(poly, f, True)
+    W = np.array(w, dtype)
     WU, WV = W[U], W[V]
     C1 = np.where(one, fvec(W[A], W[B], W[P]), 0)
     C2 = np.where(leaf, fvec(WU, W, WV), 0)

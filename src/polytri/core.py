@@ -61,24 +61,36 @@ def int64_safe(poly: "Polygon", f: "TriangleWeightFn") -> bool:
     A static bound with headroom: the worst case of (n - 2) triangles at the
     maximum weight stays below 2**62. Under it the vector engines run in
     int64 with no overflow bookkeeping; past it they watch the values they
-    compute (``int64_watch_bound``) and continue in object dtype from the
+    compute (``vector_arithmetic``) and continue in object dtype from the
     first step that could overflow.
     """
     wmax = max(poly.weights)
     return (poly.n - 2) * f.fn(wmax, wmax, wmax) < 2**62
 
 
-def int64_watch_bound(poly: "Polygon", f: "TriangleWeightFn") -> int | None:
-    """The triangle bound a vector engine checks its sums against, or None.
+def vector_arithmetic(
+    poly: "Polygon", f: "TriangleWeightFn", use_vec: bool
+) -> tuple[Callable, type, int | None]:
+    """The weight function, dtype and int64 watch T that a numpy engine runs with.
 
-    None when ``int64_safe`` holds, so no sum can overflow and there is
-    nothing to watch. Otherwise f(wmax, wmax, wmax), which bounds every
-    triangle of the polygon because f is monotone.
+    dp3, Yao's sweep and the BST sweep all take them from here. Without
+    ``use_vec``: ``np.frompyfunc(fn)`` in object dtype, so fn's exact values
+    stay as they are. With it, ``vec``: in int64 with nothing to watch (T
+    None) when ``int64_safe`` holds; in object dtype from the start when
+    2 * T >= 2**63; else in int64, where T = f(wmax, wmax, wmax) bounds every
+    triangle because f is monotone, and the engine turns its arrays to object
+    dtype from the first step whose sums T and its stored values cannot keep
+    below 2**63.
     """
+    if not use_vec:
+        return np.frompyfunc(f.fn, 3, 1), object, None
     if int64_safe(poly, f):
-        return None
+        return f.vec, np.int64, None
     wmax = max(poly.weights)
-    return f.fn(wmax, wmax, wmax)
+    tmax = f.fn(wmax, wmax, wmax)
+    if 2 * tmax >= INT64_LIMIT:
+        return f.vec, object, None
+    return f.vec, np.int64, tmax
 
 
 def check_accumulator_bound(poly: "Polygon", f: "TriangleWeightFn") -> None:
@@ -141,10 +153,10 @@ class TriangleWeightFn:
 
     ``kind`` is "mult", "add", or "custom". ``fn`` evaluates Python integers
     exactly; ``vec``, when present, evaluates numpy arrays elementwise and
-    must be exact on int64 arrays (the solvers only pass values whose
-    results fit int64) and on object arrays of Python ints. Custom
-    functions are spot checked for monotonicity and symmetry, and ``vec``
-    against ``fn``, before any solver will accept them.
+    must be exact on int64 arrays, returning int64 (the solvers only pass
+    values whose results fit int64), and on object arrays of Python ints.
+    Custom functions are spot checked for monotonicity and symmetry, and
+    ``vec`` against ``fn``, before any solver will accept them.
     """
 
     __slots__ = ("kind", "fn", "vec", "_checked")
@@ -197,8 +209,8 @@ class TriangleWeightFn:
         the same triples wherever fn's value fits int64 and on a few mixed
         triples at the int64 boundary (up to the largest power of two x
         with fn(x, x, x) < 2**63), and as object arrays on triples above x.
-        Raises MonotonicityError on the first counterexample found, or when
-        vec raises.
+        Raises MonotonicityError on the first counterexample found, when vec
+        raises, or when it returns another dtype than int64 on int64 arrays.
         """
         if self._checked:
             return
@@ -249,13 +261,18 @@ class TriangleWeightFn:
     def _check_vec(self, triples: list[tuple[int, int, int]], values: list[int], dtype) -> None:
         """Raise MonotonicityError unless vec equals fn on ``triples`` as ``dtype`` arrays."""
         try:
-            got = self.vec(*np.array(triples, dtype=dtype).T)
-            got = np.broadcast_to(got, len(triples)).tolist()
+            got = np.broadcast_to(self.vec(*np.array(triples, dtype=dtype).T), len(triples))
         except Exception as exc:  # user code: any failure means vec is unusable
             raise MonotonicityError(
                 f"{self.kind} weight fn's vec raised on {np.dtype(dtype)} arrays: {exc!r}"
             ) from exc
-        for t, g, want in zip(triples, got, values):
+        # the int64 engines store vec's values in int64 arrays: an object
+        # result (a Fraction, say) would be truncated there
+        if dtype is np.int64 and got.dtype != np.int64:
+            raise MonotonicityError(
+                f"{self.kind} weight fn's vec returns {got.dtype} on int64 arrays, not int64"
+            )
+        for t, g, want in zip(triples, got.tolist(), values):
             if g != want:
                 raise MonotonicityError(
                     f"{self.kind} weight fn's vec disagrees with fn at {t}: {g} != {want}"

@@ -33,7 +33,7 @@ from .core import (
     Triangulation,
     INT64_LIMIT,
     check_accumulator_bound,
-    int64_watch_bound,
+    vector_arithmetic,
 )
 
 __all__ = ["solve_yao"]
@@ -48,10 +48,7 @@ def _sweep(
     left, right, lc, rc = table.left, table.right, table.lc, table.rc
     rank_of = poly.rank_of
     order = sorted((x for x in range(n) if left[x] >= 0), key=lambda x: (right[x] - left[x]) % n)
-    if engine == "vector":
-        fvec, dtype, tmax = f.vec, np.int64, int64_watch_bound(poly, f)
-    else:
-        fvec, dtype, tmax = np.frompyfunc(fw, 3, 1), object, None
+    fvec, dtype, tmax = vector_arithmetic(poly, f, engine == "vector")
     WR = np.array([w[r] for r in poly.rank], dtype)  # weights in rank order
     v0: list[int] = [0] * n
     vz: list[np.ndarray | None] = [None] * n
@@ -59,8 +56,8 @@ def _sweep(
     # bounds every row and 2 * top every sum a row takes part in. From the
     # first bridge where that reaches 2**63, apex weights, and so all later
     # rows, are object arrays of exact ints; earlier int64 rows mix in exactly.
-    # tmax None means nothing is left to watch, as in the scalar engine,
-    # whose rows are object arrays from the start.
+    # tmax None means nothing is left to watch: the rows are int64 and cannot
+    # overflow, or are object arrays from the start (always under "scalar").
     top = 0
 
     def child(x: int, p: int, a: int, b: int) -> int:

@@ -15,12 +15,14 @@ edges, visited_cones, memo_hits, total_cones, backend and engine:
 - loop: solve_bst with SWEEP_MIN_N patched high, so the loop runs;
 - dense: solve_bst(backend="dense"), or its refusal message past DENSE_CAP;
 - sweep: solve_bst with SWEEP_MIN_N and SWEEP_MIN_WIDTH patched to 0;
-- yao-scalar, yao-vector: solve_yao with that engine.
+- yao-scalar, yao-vector: solve_yao with that engine;
+- dp3-python, dp3-numpy: solve_dp_cubic with that engine, on the polygons
+  with n <= 300 only, hashing the optimum and the sorted edges.
 
 The part "bridges" hashes both finders' tables as sorted (u, v, S) triples.
 The script prints one sha256 (first 16 hex digits) per part and one over
 all parts. pytest does not collect it (no ``test_`` prefix); it takes about
-20 seconds on a 2-core host.
+five minutes on a 2-core host, most of it in dp3-python.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from polytri import (
     gen_random,
     gen_staircase,
     solve_bst,
+    solve_dp_cubic,
     solve_yao,
 )
 
@@ -63,14 +66,18 @@ def corpus():
     yield gen_random(3000, 1)
 
 
+DP3_MAX_N = 300
+
+
 def outcome(solve, poly, f) -> str:
     try:
-        opt, tri, st = solve(poly, f)
+        opt, tri, *stats = solve(poly, f)
     except ValueError as exc:
         return f"refused: {exc}"
-    return repr(
-        (opt, sorted(tri.edges), st.visited_cones, st.memo_hits, st.total_cones, st.backend, st.engine)
-    )
+    row = [opt, sorted(tri.edges)]
+    for st in stats:  # none from dp3
+        row += [st.visited_cones, st.memo_hits, st.total_cones, st.backend, st.engine]
+    return repr(tuple(row))
 
 
 def forced(**cutoffs):
@@ -90,6 +97,8 @@ PARTS = {
     "sweep": forced(SWEEP_MIN_N=0, SWEEP_MIN_WIDTH=0),
     "yao-scalar": lambda poly, f: solve_yao(poly, f, engine="scalar"),
     "yao-vector": lambda poly, f: solve_yao(poly, f, engine="vector"),
+    "dp3-python": lambda poly, f: solve_dp_cubic(poly, f, engine="python"),
+    "dp3-numpy": lambda poly, f: solve_dp_cubic(poly, f, engine="numpy"),
 }
 
 
@@ -103,6 +112,8 @@ def main() -> int:
     for poly in polys:
         for f in FNS:
             for name, solve in PARTS.items():
+                if name.startswith("dp3") and poly.n > DP3_MAX_N:
+                    continue
                 hashes[name].update(outcome(solve, poly, f).encode())
         for finder in (find_bridges_walk, find_bridges_linear):
             hashes["bridges"].update(bridge_triples(finder(poly)).encode())

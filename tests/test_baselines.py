@@ -3,10 +3,11 @@ against structure counts known in closed form."""
 
 import math
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-import polytri.baselines as baselines
 from polytri import (
     Polygon,
     TriangleWeightFn,
@@ -16,6 +17,10 @@ from polytri import (
     triangulation_weight,
     validate_triangulation,
 )
+
+
+# exact values no int64 table can hold; no vec, so every engine runs fn
+FRACTION_FN = TriangleWeightFn.custom(lambda x, y, z: Fraction(x * y * z + x + y + z, 7))
 
 
 def catalan(k: int) -> int:
@@ -92,7 +97,7 @@ class TestCubicDP:
         for _ in range(60):
             n = rng.randint(3, 10)
             poly = Polygon(tuple(rng.randint(1, 30) for _ in range(n)))
-            for f in weight_fns.values():
+            for f in (*weight_fns.values(), FRACTION_FN):
                 want, winners = solve_bruteforce(poly, f)
                 got, tri = solve_dp_cubic(poly, f, engine="python")
                 assert got == want
@@ -161,25 +166,27 @@ class TestCubicDP:
             (50, 2**21, "numpy"),
         ],
     )
-    def test_auto_engine_choice(self, n, w, engine, monkeypatch):
-        taken = []
+    def test_auto_engine_choice(self, n, w, engine):
+        # auto runs vec, once per diagonal, whenever it exists, whatever n,
+        # and gives the answer of the engine named
+        dtypes = []
 
-        def spy(name):
-            real = getattr(baselines, name)
+        def vec(x, y, z):
+            dtypes.append(x.dtype)
+            return x * y * z
 
-            def run(poly, f):
-                taken.append(name)
-                return real(poly, f)
-
-            return run
-
-        for name in ("_dp_python", "_dp_numpy"):
-            monkeypatch.setattr(baselines, name, spy(name))
-        fm = TriangleWeightFn.multiplicative()
-        solve_dp_cubic(Polygon((w,) * n), fm)
-        assert taken == [f"_dp_{engine}"]
-        solve_dp_cubic(Polygon((w,) * n), TriangleWeightFn.custom(fm.fn))
-        assert taken[-1] == "_dp_python"  # no vectorized form
+        f = TriangleWeightFn.custom(lambda x, y, z: x * y * z, vec=vec)
+        f.ensure_monotonic()
+        dtypes.clear()
+        poly = Polygon((w,) * n)
+        opt, tri = solve_dp_cubic(poly, f)
+        assert len(dtypes) == n - 2
+        assert dtypes[0] == (np.int64 if w == 10**6 else object)
+        named, tn = solve_dp_cubic(poly, f, engine=engine)
+        assert (opt, tri.edges) == (named, tn.edges)
+        # without vec, auto runs fn in object dtype: its Fractions come back exact
+        frac, tf = solve_dp_cubic(poly, TriangleWeightFn.custom(lambda x, y, z: Fraction(x * y * z, 7)))
+        assert frac == Fraction(opt, 7) and tf.edges == tri.edges
 
     def test_rejects_unknown_engine(self):
         with pytest.raises(ValueError):

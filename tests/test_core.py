@@ -23,6 +23,7 @@ from polytri import (
     parenthesization_cost,
     parse_polygon,
     require_valid,
+    solve_bruteforce,
     solve_bst,
     solve_dp_cubic,
     solve_yao,
@@ -129,6 +130,24 @@ class TestTriangleWeightFn:
         for solve in (solve_dp_cubic, solve_yao, solve_bst):
             with pytest.raises(MonotonicityError, match="vec disagrees with fn"):
                 solve(poly, f)
+
+    def test_vec_returning_non_int64_rejected_before_any_solve(self):
+        # vec agrees with fn, but its Fractions would be truncated in the int64
+        # tables: unchecked, dp3 "numpy" returned 15156 for 106111/7 on the
+        # polygon random.Random(5) draws, bruteforce 16 for 118/7 here, and
+        # bst raised SolverInvariantError at random n=3000
+        g = lambda x, y, z: Fraction(x * y * z + x + y + z, 7)
+        poly = Polygon((3, 1, 4, 1, 5, 9))
+        for solve in (solve_dp_cubic, solve_yao, solve_bst, solve_bruteforce):
+            with pytest.raises(MonotonicityError, match="vec returns object on int64 arrays"):
+                solve(poly, TriangleWeightFn.custom(g, vec=np.frompyfunc(g, 3, 1)))
+        # without vec the same fn solves exactly
+        f = TriangleWeightFn.custom(g)
+        assert solve_bruteforce(poly, f)[0] == Fraction(118, 7)
+        for solve in (solve_dp_cubic, solve_yao, solve_bst):
+            assert solve(poly, f)[0] == Fraction(118, 7)
+        rng = random.Random(5)
+        assert solve_dp_cubic(Polygon(tuple(rng.randint(1, 50) for _ in range(6))), f)[0] == Fraction(106111, 7)
 
     def test_vec_wrong_at_int64_boundary_rejected(self):
         # agrees with fn on every triple up to 1000, wrong from x*y*z >= 2**40

@@ -4,9 +4,9 @@ dp3's numpy engine and Yao's vector engine compute in int64 while the
 values computed so far prove the next step cannot overflow, and in object
 dtype (exact Python ints) from the first step where that proof fails. Each
 case here must give the value and the edge set of the reference engines,
-which use Python ints throughout: dp3 "python", and Yao "scalar", which
-runs the same sweep as "vector" with ``fn`` applied element-wise in object
-dtype.
+which use Python ints throughout: dp3 "python" and Yao "scalar", which run
+the same DP and sweep as "numpy" and "vector" with ``fn`` applied
+element-wise in object dtype.
 """
 
 import random
@@ -105,9 +105,10 @@ def test_random_chains(m):
 )
 def test_switch_to_object_mid_run(poly, fname):
     # every triangle fits int64, but runs of heavy nodes cost more than
-    # 2**63: dp3 starts in int64 and switches at diagonal 6 (weights near
-    # 2**20) or 3 (near 2**21); Yao switches at one bridge in the mixes,
-    # while the uniform polygon's rows stay small enough for int64
+    # 2**63: near 2**20, dp3 starts in int64 and switches at diagonal 6, and
+    # Yao switches at one bridge in the mixes, while the uniform polygon's
+    # rows stay small enough for int64; near 2**21 twice the heaviest
+    # triangle passes 2**63, so both run in object dtype from the start
     f = FNS[fname]
     wmax = max(poly.weights)
     assert f.fn(wmax, wmax, wmax) < INT64_LIMIT

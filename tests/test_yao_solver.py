@@ -122,8 +122,9 @@ class TestSolveYao:
             ob, tb, sb = solve_bst(poly, f)
             assert sb.engine == "loop"
             op, tp = solve_dp_cubic(poly, f, engine="python")
-            assert opt == ob == op == triangulation_weight(poly, tri, f)
-            assert tri.edges == tb.edges == tp.edges
+            oa, ta = solve_dp_cubic(poly, f)
+            assert opt == ob == op == oa == triangulation_weight(poly, tri, f)
+            assert tri.edges == tb.edges == tp.edges == ta.edges
             fractional += opt.denominator != 1
         assert fractional >= 20
 
