@@ -19,9 +19,9 @@ dict (backend "hash") or a flat list indexed by the key (backend "dense").
 The sweep lays the same visited cones out in numpy, in closed form from the
 bridge nesting (which cones the search visits depends on the polygon alone),
 and values them bottom-up, a few numpy calls per level of the cone graph.
-So hash solves take it only from ``SWEEP_MIN_N`` nodes on, when the weight
-function has a ``vec`` and the layout counts at least ``SWEEP_MIN_WIDTH``
-cells per nest level; the loop runs everything else, including sorted or
+So hash solves take it only from ``SWEEP_MIN_N`` nodes on, when the layout
+counts at least ``SWEEP_MIN_WIDTH`` cells per nest level (a ``vec`` picks
+only its dtype); the loop runs everything else, including sorted or
 tie-heavy polygons, whose cone graph is n levels deep with a few cones on
 each. ``reconstruct_triangulation`` walks one winning edge set over solved
 values by packed key, for the loop and yao_solver; the sweep walks its own
@@ -52,7 +52,7 @@ from .core import (
 )
 
 DENSE_CAP = 2000  # the largest n the dense memo accepts: its list holds n * (n + 1) cells
-SWEEP_MIN_N = 800  # from here on, hash solves with a vec may take the sweep (measured crossover)
+SWEEP_MIN_N = 800  # from here on, hash solves may take the sweep, with or without a vec (measured crossover)
 SWEEP_MIN_WIDTH = 200  # the cells per nest level from which the sweep beats the loop (measured)
 _CHUNK = 2**17  # cells per chunk of the sweep's pass 1 and its check, to bound their temporaries
 
@@ -518,11 +518,12 @@ def _sweep(
     Z(x), its row of apexed cones (_cone_shape). _layout lays the visited
     cells out by node height and links them, with no search and no sort;
     _check_layout proves them the cone graph. The values go bottom-up, a few
-    whole-level expressions per level, in int64 while the largest value so
-    far proves the next level's sums fit, then in object dtype, as in
-    yao_solver. Each cell keeps whether branch 1 won (it wins ties) and, in
-    rows 1 and 2 of the kid table, that branch's children, so the walk steps
-    down from the root's cells one generation at a time, with no lookup.
+    whole-level expressions per level, in core.vector_arithmetic's dtype: int64
+    while the largest value so far proves the next level's sums fit, then
+    object, as in yao_solver; without a ``vec``, fn in object dtype. Each
+    cell keeps whether branch 1 won (it wins ties) and, in rows 1 and 2 of
+    the kid table, that branch's children, so the walk steps down from the
+    root's cells one generation at a time, with no lookup.
     """
     n, w, n1 = poly.n, poly.weights, poly.n + 1
     U, V, LC, RC, R = table.arrays
@@ -566,7 +567,7 @@ def _sweep(
     pushes = len(roots) + int(np.count_nonzero(kids >= 0))
 
     # per-bridge weights and constants: A(x)'s triangle and base children
-    fvec, dtype, tmax = vector_arithmetic(poly, f, True)
+    fvec, dtype, tmax = vector_arithmetic(poly, f, f.vec is not None)
     W = np.array(w, dtype)
     WU, WV = W[U], W[V]
     C1 = np.where(one, fvec(W[A], W[B], W[P]), 0)
@@ -756,11 +757,11 @@ def solve_bst(
     backend selects the memo: "hash" is a dict, "dense" a list indexed by
     packed key, which refuses n > DENSE_CAP. Two engines run the search and
     agree in value, edges, visited_cones and memo_hits; stats.engine names the one that
-    ran. A hash solve of n >= SWEEP_MIN_N nodes whose weight function has a
-    ``vec`` takes the numpy sweep (exact past int64 like yao_solver's vector
-    engine) when its layout counts at least SWEEP_MIN_WIDTH cells per nest
-    level, the deepest nesting of its bridges: the sweep's cost grows with
-    the levels, the loop's with the cones. Every other solve takes the loop.
+    ran. A hash solve of n >= SWEEP_MIN_N nodes takes the numpy sweep (exact
+    past int64 like yao_solver's engines; ``vec`` picks only its dtype) when
+    its layout counts at least SWEEP_MIN_WIDTH cells per nest level, the
+    deepest nesting of its bridges: the sweep's cost grows with the levels,
+    the loop's with the cones. Every other solve takes the loop.
     """
     t0 = time.perf_counter_ns()
     if backend not in ("hash", "dense"):
@@ -770,9 +771,7 @@ def solve_bst(
     n = poly.n
     table = find_bridges_linear(poly)
     total = table.total_cones()
-    swept = None
-    if backend == "hash" and f.vec is not None and n >= SWEEP_MIN_N:
-        swept = _sweep(poly, table, f)
+    swept = _sweep(poly, table, f) if backend == "hash" and n >= SWEEP_MIN_N else None
     if swept is not None:
         engine = "sweep"
         visited, hits, _, _, walk = swept

@@ -4,13 +4,15 @@ Both engines must visit the same cones, count the same memo hits and
 compute the same value for every cone: the sweep's cells must hold exactly
 the keys of the loop's memo, with its values. The sweep's own walk must
 give the optimum and edge set that reconstruct_triangulation reads off the
-same values. solve_bst takes the sweep for hash solves with a
-vectorized weight function from SWEEP_MIN_N nodes on, when the layout
-counts at least SWEEP_MIN_WIDTH cells per nest level; the tests below
-lower both cutoffs to run the sweep on small and thin polygons too.
+same values. solve_bst takes the sweep for hash solves from SWEEP_MIN_N
+nodes on, when the layout counts at least SWEEP_MIN_WIDTH cells per nest
+level, whatever the weight function: its ``vec`` picks only the dtype
+(watched int64, else fn in object dtype). The tests below lower both
+cutoffs to run the sweep on small and thin polygons too.
 """
 
 import random
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -18,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_exact_engines import FNS, heavy_light, random_piece_sums
+from test_exact_engines import FNS, MIX_2_62, heavy_light, random_piece_sums, vec_dtypes
 from polytri import (
     Polygon,
     SolverInvariantError,
@@ -29,11 +31,15 @@ from polytri import (
     reconstruct_triangulation,
     solve_bst,
     solve_yao,
+    triangulation_weight,
 )
 from polytri import bst_solver
 from polytri.bst_solver import SWEEP_MIN_N, _root, _search, _sweep
 
 WEIGHT_FNS = [FNS["mult"], FNS["add"], FNS["custom"]]
+# fn alone, so the sweep runs it in object dtype: exact values, Fractions too
+FRACTION = TriangleWeightFn.custom(lambda x, y, z: Fraction(x * y * z + x + y + z, 7))
+NO_VEC = [TriangleWeightFn.custom(g.fn) for g in FNS.values()] + [FRACTION]
 
 
 def corpus():
@@ -122,45 +128,84 @@ def test_identity_through_solve_bst(monkeypatch):
         Polygon((2**20,) * 70),
         heavy_light(1, 60, 2**20),
         heavy_light(3, 40, 2**20),
+        MIX_2_62,
         heavy_light(2, 60, 2**21 - 1000),
         Polygon((2**22,) * 70),
         heavy_light(3, 50, 2**22),
         Polygon((2**40, 1, 2, 2**40, 3, 4, 2**39)),
     ],
     ids=[
-        "uniform-2^20", "mix-2^20-a", "mix-2^20-b", "mix-2^21", "uniform-2^22", "mix-2^22", "2^40"
+        "uniform-2^20",
+        "mix-2^20-a",
+        "mix-2^20-b",
+        "mix-2^62",
+        "mix-2^21",
+        "uniform-2^22",
+        "mix-2^22",
+        "2^40",
     ],
 )
 def test_past_int64(poly, fname, monkeypatch):
     # test_exact_engines' inputs, where the vector engines leave int64 for
     # object dtype mid-run or from the start; the sweep does so mid-run on
-    # the first three and from the start on the rest
+    # the first four and from the start on the rest
     f = FNS[fname]
     assert_sweep_matches_loop(poly, f)
     assert assert_walks_agree(poly, f) == object
+    if poly is MIX_2_62:
+        # valued and walked: the constants and one level in int64, the rest in object dtype
+        table = find_bridges_linear(poly)
+        assert vec_dtypes(f, lambda g: sweep(poly, table, g)[4]()) == [("int64", 7), ("object", 45)]
     loop, swept = solve_both(poly, f, monkeypatch)
     assert outcome(swept) == outcome(loop)
     _, ts, _ = solve_yao(poly, f, engine="scalar")
     assert (swept[0], swept[1].edges) == (ts.weight, ts.edges)
 
 
-def test_dispatch():
-    # each solve's visited cones, memo hits, census and engine, as pinned
+def test_dispatch(monkeypatch):
+    # each solve's visited cones, memo hits, census and engine, as pinned:
+    # the polygon picks the engine, the weight function only its dtype
     fa = TriangleWeightFn.additive()
     plain = TriangleWeightFn.custom(lambda x, y, z: x + y + z)  # no vec
     at = gen_staircase(SWEEP_MIN_N // 2)  # about n / 2 cells per nest level
+    spread = gen_random(4 * SWEEP_MIN_N, 3)
     cases = [
         (Polygon(at.weights[:-1]), fa, "hash", (316412, 315615, 318002, "loop")),
         (at, fa, "hash", (318004, 317206, 318801, "sweep")),
         (at, fa, "dense", (318004, 317206, 318801, "loop")),
-        (at, plain, "hash", (318004, 317206, 318801, "loop")),
-        (gen_random(4 * SWEEP_MIN_N, 3), fa, "hash", (23362, 19105, 1743135, "sweep")),
+        (at, plain, "hash", (318004, 317206, 318801, "sweep")),
+        (spread, fa, "hash", (23362, 19105, 1743135, "sweep")),
+        (spread, plain, "hash", (23362, 19105, 1743135, "sweep")),
     ]
     for poly, f, backend, want in cases:
         st = solve_bst(poly, f, backend=backend)[2]
         assert (st.visited_cones, st.memo_hits, st.total_cones, st.engine) == want
-    swept, looped = (outcome(solve_bst(at, g)) for g in (fa, plain))
-    assert swept == looped  # backend "hash" in both
+    in_int64, in_object = (outcome(solve_bst(at, g)) for g in (fa, plain))
+    assert in_int64 == in_object  # backend "hash" and engine "sweep" in both
+
+    # exact non-integer values through the unpatched dispatch
+    poly = gen_random(2 * SWEEP_MIN_N, 3)
+    opt, tri, st = solve_bst(poly, FRACTION)
+    assert st.engine == "sweep" and isinstance(opt, Fraction)
+    assert opt == triangulation_weight(poly, tri.edges, FRACTION)
+    monkeypatch.setattr(bst_solver, "SWEEP_MIN_N", 10**9)
+    loop = solve_bst(poly, FRACTION)
+    assert loop[2].engine == "loop"
+    assert outcome(loop) == outcome((opt, tri, st))
+
+
+def test_vec_never_sees_an_empty_array(monkeypatch):
+    # np.vectorize without otypes raises ValueError on size-0 arrays, yet
+    # passes ensure_monotonic, so the sweep must call vec on cells only
+    def g(x, y, z):
+        return x + y + z
+
+    f = TriangleWeightFn.custom(g, vec=np.vectorize(g))
+    poly = gen_random(2 * SWEEP_MIN_N, 3)
+    swept = solve_bst(poly, f)
+    assert swept[2].engine == "sweep"
+    monkeypatch.setattr(bst_solver, "SWEEP_MIN_N", 10**9)
+    assert outcome(swept) == outcome(solve_bst(poly, f))
 
 
 @pytest.mark.parametrize(
@@ -170,19 +215,20 @@ def test_dispatch():
 )
 def test_thin_polygons_take_the_loop(weights, monkeypatch):
     # nested n deep with a few cells per nest level: the loop is many times
-    # faster, and the layout hands over before it levels or lays out a cell
+    # faster, and the layout hands over before it levels or lays out a cell,
+    # in int64 (add's vec) and in object dtype (fn alone) alike
     poly = Polygon(tuple(weights))
-    fa = TriangleWeightFn.additive()
 
     def levels(*args):
         raise AssertionError("_levels reached")
 
     monkeypatch.setattr(bst_solver, "_levels", levels)
-    opt, tri, st = solve_bst(poly, fa)
-    assert st.engine == "loop"
-    assert st.visited_cones < 2 * poly.n
-    want, ty, _ = solve_yao(poly, fa)
-    assert (opt, tri.edges) == (want, ty.edges)
+    for f in (TriangleWeightFn.additive(), TriangleWeightFn.custom(lambda x, y, z: x + y + z)):
+        opt, tri, st = solve_bst(poly, f)
+        assert st.engine == "loop"
+        assert st.visited_cones < 2 * poly.n
+        want, ty, _ = solve_yao(poly, f)
+        assert (opt, tri.edges) == (want, ty.edges)
 
 
 def test_cells_are_the_visited_cones():
@@ -306,9 +352,15 @@ def test_walk_refuses_a_corrupt_cell(poly):
     weights=st.lists(
         st.one_of(st.integers(1, 64), st.integers(2**18, 2**22)), min_size=3, max_size=60
     ),
-    f=st.one_of(st.sampled_from([FNS[name] for name in sorted(FNS)]), random_piece_sums),
+    f=st.one_of(
+        st.sampled_from([FNS[name] for name in sorted(FNS)] + NO_VEC),
+        random_piece_sums,
+        random_piece_sums.map(lambda g: TriangleWeightFn.custom(g.fn)),
+    ),
 )
 def test_sweep_equals_loop(weights, f):
+    # with vec in watched int64, without it fn in object dtype
     poly = Polygon(tuple(weights))
     f.ensure_monotonic()
     assert_sweep_matches_loop(poly, f)
+    assert_walks_agree(poly, f)

@@ -10,6 +10,7 @@ element-wise in object dtype.
 """
 
 import random
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -92,6 +93,25 @@ def test_random_chains(m):
     assert_engines_agree(poly, fm)
 
 
+def vec_dtypes(g: TriangleWeightFn, solve) -> list[tuple[str, int]]:
+    """The dtypes that solve(f) runs ``g.vec`` in, f being g with a spy on vec, as runs of (dtype, calls)."""
+    g.ensure_monotonic()
+    seen = []
+
+    def spy(x, y, z):
+        out = g.vec(x, y, z)
+        seen.append(np.asarray(out).dtype.name)
+        return out
+
+    solve(TriangleWeightFn(g.kind, g.fn, vec=spy, checked=True))
+    return [(dtype, len(list(calls))) for dtype, calls in groupby(seen)]
+
+
+# heaviest triangle under mult just below 2**62: each vector engine starts
+# in int64 and switches to object dtype partway through
+MIX_2_62 = heavy_light(2, 60, 1_660_000)
+
+
 @pytest.mark.parametrize("fname", ["mult", "custom"])
 @pytest.mark.parametrize(
     "poly",
@@ -99,20 +119,25 @@ def test_random_chains(m):
         Polygon((2**20,) * 70),
         heavy_light(1, 60, 2**20),
         heavy_light(3, 40, 2**20),
+        MIX_2_62,
         heavy_light(2, 60, 2**21 - 1000),
     ],
-    ids=["uniform-2^20", "mix-2^20-a", "mix-2^20-b", "mix-2^21"],
+    ids=["uniform-2^20", "mix-2^20-a", "mix-2^20-b", "mix-2^62", "mix-2^21"],
 )
 def test_switch_to_object_mid_run(poly, fname):
     # every triangle fits int64, but runs of heavy nodes cost more than
     # 2**63: near 2**20, dp3 starts in int64 and switches at diagonal 6, and
     # Yao switches at one bridge in the mixes, while the uniform polygon's
-    # rows stay small enough for int64; near 2**21 twice the heaviest
+    # rows stay small enough for int64; just below 2**62 both switch
+    # mid-run, as the spy on vec shows; near 2**21 twice the heaviest
     # triangle passes 2**63, so both run in object dtype from the start
     f = FNS[fname]
     wmax = max(poly.weights)
     assert f.fn(wmax, wmax, wmax) < INT64_LIMIT
     assert assert_engines_agree(poly, f) > 0
+    if poly is MIX_2_62:
+        assert vec_dtypes(f, lambda g: solve_dp_cubic(poly, g, engine="numpy")) == [("int64", 1), ("object", 57)]
+        assert vec_dtypes(f, lambda g: solve_yao(poly, g, engine="vector")) == [("int64", 6), ("object", 106)]
 
 
 @pytest.mark.parametrize("fname", ["mult", "custom"])
