@@ -8,13 +8,14 @@ search to keep discovering new cones: visits grow as 2h^2 - 5h + 4 on
 bottom-up sweep always pays.
 
 Each row also names the engine solve_bst ran and its time. From
-SWEEP_MIN_N nodes on it is the numpy sweep, which finds the same cones
-level by level, since the staircase's levels hold about h cones each;
-below that the inline loop, which is faster there.
+SWEEP_MIN_N nodes on it is Yao's rank-prefix rows: the search visits all
+but a sliver of the census, so valuing every cone, one numpy expression
+per bridge, is cheaper than the numpy sweep's level-by-level pass over
+the visited ones; below that the inline loop.
 """
 
 from polytri import TriangleWeightFn, gen_staircase, solve_bst, solve_yao
-from polytri.bst_solver import SWEEP_MIN_N
+from polytri.bst_solver import ROWS_FACTOR, SWEEP_MIN_N
 
 
 def main() -> None:
@@ -35,7 +36,10 @@ def main() -> None:
             f" {st_b.engine:>7} {st_b.elapsed_ns / 1e6:>8.1f}"
         )
     print("\nvisits == 2h^2 - 5h + 4 at every size; no shortcut survives this family")
-    print(f"on this family solve_bst takes the sweep from n = {SWEEP_MIN_N} on, the loop below")
+    print(
+        f"on this family solve_bst takes the rows from n = {SWEEP_MIN_N} on (census < {ROWS_FACTOR} x cells),"
+        " the loop below"
+    )
 
 
 if __name__ == "__main__":

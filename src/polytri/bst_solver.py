@@ -13,21 +13,25 @@ cone's key is x*(n + 1) + k, x the S node that names its bridge
 
 ``expand_cone`` and ``expand_root`` are the public, self-describing form of
 the rules. Every cone expansion also has one compact shape, (p, ab, one),
-stated once in ``_cone_shape``. ``solve_bst`` runs it in one of two engines.
-The loop goes over a flattened work stack of packed keys and memoizes in a
-dict (backend "hash") or a flat list indexed by the key (backend "dense").
-The sweep lays the same visited cones out in numpy, in closed form from the
-bridge nesting (which cones the search visits depends on the polygon alone),
-and values them bottom-up, a few numpy calls per level of the cone graph.
-So hash solves take it only from ``SWEEP_MIN_N`` nodes on, when the layout
-counts at least ``SWEEP_MIN_WIDTH`` cells per nest level (a ``vec`` picks
-only its dtype); the loop runs everything else, including sorted or
-tie-heavy polygons, whose cone graph is n levels deep with a few cones on
-each. ``reconstruct_triangulation`` walks one winning edge set over solved
-values by packed key, for the loop and yao_solver; the sweep walks its own
-cells. "Lighter" is always ``rank_of[a] < rank_of[b]``. A stored value that
-no branch reproduces raises SolverInvariantError. The tests cross-check the
-packed forms against the public rules, and the sweep against the loop.
+stated once in ``_cone_shape``. ``solve_bst`` runs it in one of three
+engines. The loop goes over a flattened work stack of packed keys and
+memoizes in a dict (backend "hash") or a flat list indexed by the key
+(backend "dense"). The sweep lays the same visited cones out in numpy, in
+closed form from the bridge nesting (which cones the search visits depends
+on the polygon alone), and values them bottom-up, a few numpy calls per
+level of the cone graph. So hash solves take it only from ``SWEEP_MIN_N``
+nodes on, when the layout counts at least ``SWEEP_MIN_WIDTH`` cells per
+nest level (a ``vec`` picks only its dtype); the loop runs everything else,
+including sorted or tie-heavy polygons, whose cone graph is n levels deep
+with a few cones on each. Where the search visits nearly the whole census
+(staircases), the layout's count hands over to the rows: yao_solver's sweep
+values every cone, one numpy expression per bridge, in the same dtype, and
+the loop's counts come from that count. ``reconstruct_triangulation`` walks
+one winning edge set over solved values by packed key, for the loop, the
+rows and yao_solver; the sweep walks its own cells. "Lighter" is always
+``rank_of[a] < rank_of[b]``. A stored value that no branch reproduces
+raises SolverInvariantError. The tests cross-check the packed forms against
+the public rules, and the sweep and the rows against the loop.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ from .core import (
 DENSE_CAP = 2000  # the largest n the dense memo accepts: its list holds n * (n + 1) cells
 SWEEP_MIN_N = 800  # from here on, hash solves may take the sweep, with or without a vec (measured crossover)
 SWEEP_MIN_WIDTH = 200  # the cells per nest level from which the sweep beats the loop (measured)
+ROWS_FACTOR = 1.5  # the census per sweep cell below which Yao's rows beat the sweep (measured; object dtype: 1.8)
 _CHUNK = 2**17  # cells per chunk of the sweep's pass 1 and its check, to bound their temporaries
 
 __all__ = [
@@ -92,8 +97,9 @@ class SolveStats:
     or counted, as they fold into their parent's constants. total_cones is
     the full census from the bridge table, so visited_cones <= total_cones
     always holds. backend names the memo ("hash" or "dense"; yao_solver:
-    its engine), engine the search that ran: "loop" or "sweep" for this
-    solver, "scalar" or "vector" for yao_solver.
+    its engine), engine the search that ran: "loop", "sweep" or "rows" for
+    this solver, "scalar" or "vector" for yao_solver. The rows value the
+    whole census, but report the loop's visited_cones and memo_hits.
     """
 
     visited_cones: int
@@ -406,8 +412,8 @@ def _chunks(lens: np.ndarray) -> Iterator[tuple[int, int, int, np.ndarray]]:
 
 
 def _layout(
-    first: np.ndarray, last: np.ndarray, m0: int, child: np.ndarray, ch_key: np.ndarray, roots: np.ndarray
-) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray, np.ndarray] | None:
+    first: np.ndarray, last: np.ndarray, m0: int, child: np.ndarray, ch_key: np.ndarray, roots: np.ndarray, census: int
+) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray, np.ndarray] | tuple[int, int] | None:
     """Pass 1 of the sweep: the visited cells, laid out by node height and linked, in closed form.
 
     child[node, j] is child j's node (-1: none), ch_key[node, j] its key less
@@ -427,9 +433,13 @@ def _layout(
 
     Below SWEEP_MIN_WIDTH cells (visited A nodes plus each top send's reach)
     per nest level, where the loop is faster, returns None, having laid out
-    nothing. Else returns each level's run of cells (level 0 first), the
-    (3, cells) int32 table of each child j's cell (-1: none), the keys (-1:
-    unwritten) and a last -1 for an absent child, and the roots' cells.
+    nothing. With a census below ROWS_FACTOR times the cells, where Yao's
+    rows are cheaper, it returns the loop's counts (visited, hits) alone,
+    having laid out nothing either: visited is the cells, and hits the
+    pushes (a root key each, and each cell's children) less the cells.
+    Else returns each level's run of cells (level 0 first), the (3, cells)
+    int32 table of each child j's cell (-1: none), the keys (-1: unwritten)
+    and a last -1 for an absent child, and the roots' cells.
     """
     n, n1 = len(first), len(first) + 1
     pos = (np.arange(n) - m0) % n
@@ -439,14 +449,18 @@ def _layout(
     k, lo, hi, cover = _top_sends(first, last, sends, n1)
     bridge = child[n:, 0] >= 0
     nest = _held(first[bridge], last[bridge], n)[pos]
-    if np.count_nonzero(seen) + int((hi - lo).sum()) < SWEEP_MIN_WIDTH * int(nest.max()):
+    size = np.concatenate((seen, _held(lo, hi, n)[pos]))  # cells per node
+    cells = int(size.sum())
+    if cells < SWEEP_MIN_WIDTH * int(nest.max()):
         return None
+    if census < ROWS_FACTOR * cells:
+        return cells, len(roots) + int(size @ np.count_nonzero(child >= 0, axis=1)) - cells
     o = np.lexsort((k, -hi, lo))
     depth = np.empty(len(k), np.int64)
     depth[o] = np.arange(len(k)) - np.searchsorted(np.sort(hi), lo[o], side="right")
     height = _levels(child, nest)
     order = np.argsort(-height.astype(np.min_scalar_type(-int(height.max()))), kind="stable")  # radix
-    size = np.concatenate((seen, _held(lo, hi, n)[pos]))[order]  # cells per node, in cell order
+    size = size[order]  # in cell order
     ends = np.concatenate(([0], np.cumsum(size)))
     start = np.empty(2 * n, np.int32)  # cells number below 2**31, as kids holds them
     start[order] = ends[:-1]
@@ -505,14 +519,16 @@ def _check_layout(
 
 def _sweep(
     poly: Polygon, table: BridgeTable, f: TriangleWeightFn
-) -> tuple[int, int, np.ndarray, np.ndarray, Callable[[], tuple[int, np.ndarray]]] | None:
+) -> tuple[int, int, np.ndarray, np.ndarray, Callable[[], tuple[int, np.ndarray]]] | tuple[int, int] | None:
     """The search's visited cones, valued level by level in numpy, and their walk.
 
     Returns (visited_cones, memo_hits, keys, values, walk): the loop's
     counts (_search), each visited cone's packed key and value (one cell
     each), and walk(), which returns the optimum and one optimal edge set as
-    sorted (a, b) rows, a < b; or None, having valued nothing, when _layout
-    counts fewer than SWEEP_MIN_WIDTH cells per nest level.
+    sorted (a, b) rows, a < b. Having valued nothing, it returns None when
+    _layout counts fewer than SWEEP_MIN_WIDTH cells per nest level, and
+    (visited_cones, memo_hits) alone when the census is below ROWS_FACTOR
+    times the cells.
 
     The cones fall into two nodes per bridge x: A(x), its apexless cone, and
     Z(x), its row of apexed cones (_cone_shape). _layout lays the visited
@@ -558,9 +574,9 @@ def _sweep(
     roots = np.array(root, np.int64)
     m0 = poly.rank[0]
     first, last = (U - m0) % n + 1, np.where(V == m0, n, (V - m0) % n)  # the nest of x's bridge
-    laid = _layout(first, last, m0, child, ch_key, roots)
-    if laid is None:
-        return None
+    laid = _layout(first, last, m0, child, ch_key, roots, table.total_cones())
+    if laid is None or len(laid) == 2:
+        return laid
     spans, kids, keys, root_cells = laid
     _check_layout(child, ch_key, kids, keys, root_cells)
     keys, ncells = keys[:-1], len(keys) - 1
@@ -755,13 +771,17 @@ def solve_bst(
     visited count is far below the quadratic census.
 
     backend selects the memo: "hash" is a dict, "dense" a list indexed by
-    packed key, which refuses n > DENSE_CAP. Two engines run the search and
-    agree in value, edges, visited_cones and memo_hits; stats.engine names the one that
+    packed key, which refuses n > DENSE_CAP. Three engines agree in value,
+    edges, visited_cones and memo_hits; stats.engine names the one that
     ran. A hash solve of n >= SWEEP_MIN_N nodes takes the numpy sweep (exact
     past int64 like yao_solver's engines; ``vec`` picks only its dtype) when
     its layout counts at least SWEEP_MIN_WIDTH cells per nest level, the
     deepest nesting of its bridges: the sweep's cost grows with the levels,
-    the loop's with the cones. Every other solve takes the loop.
+    the loop's with the cones. If the census is below ROWS_FACTOR times
+    those cells, yao_solver's rows value every cone instead, in the same
+    dtype, with one numpy expression per bridge and, in int64, 8 bytes per
+    cone (the sweep holds about 28 per cell); the witness is walked over
+    them by key. Every other solve takes the loop.
     """
     t0 = time.perf_counter_ns()
     if backend not in ("hash", "dense"):
@@ -772,12 +792,19 @@ def solve_bst(
     table = find_bridges_linear(poly)
     total = table.total_cones()
     swept = _sweep(poly, table, f) if backend == "hash" and n >= SWEEP_MIN_N else None
-    if swept is not None:
+    if swept is not None and len(swept) == 5:
         engine = "sweep"
         visited, hits, _, _, walk = swept
         opt, rows = walk()
         edges = zip(*rows.T.tolist())  # Triangulation makes the one frozenset
         del swept, walk  # the cells go before the Triangulation is built
+    elif swept is not None:  # the loop's counts alone: near the census, Yao's rows value every cone
+        from .yao_solver import _sweep as yao_rows  # yao_solver imports this module
+
+        engine = "rows"
+        visited, hits = swept
+        get = yao_rows(poly, table, f, "scalar" if f.vec is None else "vector")
+        opt, edges = reconstruct_triangulation(poly, table, f, get)
     else:
         engine = "loop"
         if backend == "hash":

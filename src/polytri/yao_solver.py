@@ -22,6 +22,7 @@ takes "vector" whenever the weight function has a vectorized form.
 from __future__ import annotations
 
 import time
+from typing import Callable
 
 import numpy as np
 
@@ -39,10 +40,13 @@ from .core import (
 __all__ = ["solve_yao"]
 
 
-def _sweep(
-    poly: Polygon, table: BridgeTable, f: TriangleWeightFn, engine: str
-) -> tuple[list[int], list[np.ndarray | None]]:
-    """Per S node x: its bridge's apexless value v0[x] and its row vz[x] of apexed values by apex rank."""
+def _sweep(poly: Polygon, table: BridgeTable, f: TriangleWeightFn, engine: str) -> Callable[[int], int]:
+    """Every cone's value, as get(key) for reconstruct_triangulation.
+
+    Per S node x the sweep keeps its bridge's apexless value v0[x] and its
+    row vz[x] of apexed values by apex rank; get decodes a packed key
+    x*(n + 1) + k into v0[x] (k = 0) or the row entry of apex k - 1.
+    """
     n, w = poly.n, poly.weights
     fw = f.fn
     left, right, lc, rc = table.left, table.right, table.lc, table.rc
@@ -97,7 +101,13 @@ def _sweep(
             c = rc[x]
             row_r = fvec(w[x], w[v], wz) if c < 0 else vz[c][:k]
             vz[x] = np.minimum(with_bridge, row_l + row_r)
-    return v0, vz
+    n1 = n + 1
+
+    def get(key: int) -> int:
+        x, k = divmod(key, n1)
+        return v0[x] if k == 0 else vz[x].item(rank_of[k - 1])
+
+    return get
 
 
 def solve_yao(
@@ -125,14 +135,6 @@ def solve_yao(
     if engine == "vector" and f.vec is None:
         raise OverflowError("vector engine refused: weight function has no vectorized form")
 
-    v0, vz = _sweep(poly, table, f, engine)
-    rank_of = poly.rank_of
-    n1 = poly.n + 1
-
-    def get(key: int) -> int:
-        x, k = divmod(key, n1)
-        return v0[x] if k == 0 else vz[x].item(rank_of[k - 1])
-
-    opt, edges = reconstruct_triangulation(poly, table, f, get)
+    opt, edges = reconstruct_triangulation(poly, table, f, _sweep(poly, table, f, engine))
     stats = SolveStats(total, 0, total, time.perf_counter_ns() - t0, engine, engine)
     return opt, Triangulation(edges, opt), stats

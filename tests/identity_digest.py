@@ -14,7 +14,10 @@ edges, visited_cones, memo_hits, total_cones, backend and engine:
 - bst-auto: solve_bst as dispatched;
 - loop: solve_bst with SWEEP_MIN_N patched high, so the loop runs;
 - dense: solve_bst(backend="dense"), or its refusal message past DENSE_CAP;
-- sweep: solve_bst with SWEEP_MIN_N and SWEEP_MIN_WIDTH patched to 0;
+- sweep: solve_bst with SWEEP_MIN_N, SWEEP_MIN_WIDTH and ROWS_FACTOR
+  patched to 0;
+- rows: solve_bst with SWEEP_MIN_N and SWEEP_MIN_WIDTH patched to 0 and
+  ROWS_FACTOR high, so Yao's rows run wherever the layout counts a cell;
 - yao-scalar, yao-vector: solve_yao with that engine;
 - dp3-python, dp3-numpy: solve_dp_cubic with that engine, on the polygons
   with n <= 300 only, hashing the optimum and the sorted edges.
@@ -94,7 +97,8 @@ PARTS = {
     "bst-auto": solve_bst,
     "loop": forced(SWEEP_MIN_N=10**9),
     "dense": lambda poly, f: solve_bst(poly, f, backend="dense"),
-    "sweep": forced(SWEEP_MIN_N=0, SWEEP_MIN_WIDTH=0),
+    "sweep": forced(SWEEP_MIN_N=0, SWEEP_MIN_WIDTH=0, ROWS_FACTOR=0),
+    "rows": forced(SWEEP_MIN_N=0, SWEEP_MIN_WIDTH=0, ROWS_FACTOR=10**9),
     "yao-scalar": lambda poly, f: solve_yao(poly, f, engine="scalar"),
     "yao-vector": lambda poly, f: solve_yao(poly, f, engine="vector"),
     "dp3-python": lambda poly, f: solve_dp_cubic(poly, f, engine="python"),

@@ -1,14 +1,18 @@
-"""The branching search's numpy sweep against its inline loop.
+"""The branching search's numpy sweep and Yao's rows against its inline loop.
 
-Both engines must visit the same cones, count the same memo hits and
+The engines must visit the same cones, count the same memo hits and
 compute the same value for every cone: the sweep's cells must hold exactly
 the keys of the loop's memo, with its values. The sweep's own walk must
 give the optimum and edge set that reconstruct_triangulation reads off the
 same values. solve_bst takes the sweep for hash solves from SWEEP_MIN_N
 nodes on, when the layout counts at least SWEEP_MIN_WIDTH cells per nest
 level, whatever the weight function: its ``vec`` picks only the dtype
-(watched int64, else fn in object dtype). The tests below lower both
-cutoffs to run the sweep on small and thin polygons too.
+(watched int64, else fn in object dtype). Where the census is below
+ROWS_FACTOR times those cells, Yao's rows value every cone in the same
+dtype instead, and the loop's counts come from the layout's first pass.
+The tests below lower the cutoffs to run the sweep and the rows on small
+and thin polygons too, and set ROWS_FACTOR to 0 wherever they mean the
+sweep.
 """
 
 import random
@@ -54,8 +58,8 @@ def corpus():
 
 
 def sweep(poly, table, f):
-    """_sweep with SWEEP_MIN_WIDTH at 0, so it runs whatever its cells per nest level."""
-    with mock.patch.object(bst_solver, "SWEEP_MIN_WIDTH", 0):
+    """_sweep with SWEEP_MIN_WIDTH and ROWS_FACTOR at 0: it sweeps whatever its cells per nest level and census."""
+    with mock.patch.multiple(bst_solver, SWEEP_MIN_WIDTH=0, ROWS_FACTOR=0):
         return _sweep(poly, table, f)
 
 
@@ -86,13 +90,22 @@ def assert_walks_agree(poly, f):
     return values.dtype
 
 
-def solve_both(poly, f, monkeypatch):
+FORCE = {
+    "loop": {"SWEEP_MIN_N": 10**9},
+    "sweep": {"SWEEP_MIN_N": 0, "SWEEP_MIN_WIDTH": 0, "ROWS_FACTOR": 0},
+    "rows": {"SWEEP_MIN_N": 0, "SWEEP_MIN_WIDTH": 0, "ROWS_FACTOR": 10**9},
+}
+
+
+def forced(engine, poly, f):
+    """solve_bst with the dispatch cutoffs patched so that this engine runs (rows: given any cells)."""
+    with mock.patch.multiple(bst_solver, **FORCE[engine]):
+        return solve_bst(poly, f)
+
+
+def solve_both(poly, f):
     """solve_bst through the loop, then through the sweep."""
-    monkeypatch.setattr(bst_solver, "SWEEP_MIN_N", 10**9)
-    loop = solve_bst(poly, f)
-    monkeypatch.setattr(bst_solver, "SWEEP_MIN_N", 0)
-    monkeypatch.setattr(bst_solver, "SWEEP_MIN_WIDTH", 0)
-    swept = solve_bst(poly, f)
+    loop, swept = forced("loop", poly, f), forced("sweep", poly, f)
     assert (loop[2].engine, swept[2].engine) == ("loop", "sweep")
     return loop, swept
 
@@ -100,6 +113,17 @@ def solve_both(poly, f, monkeypatch):
 def outcome(result):
     opt, tri, st = result
     return opt, tri.edges, st.visited_cones, st.memo_hits, st.total_cones, st.backend
+
+
+@pytest.mark.parametrize("fname", ["mult", "add", "custom", "fraction"])
+def test_rows_sweep_and_loop_agree(fname):
+    # each engine forced: one optimum, edge set, visited_cones and memo_hits;
+    # the rows run wherever the layout counts a cell
+    f = FRACTION if fname == "fraction" else FNS[fname]
+    for poly in [*corpus(), *map(gen_staircase, range(2, 41))]:
+        rows, swept, loop = (forced(engine, poly, f) for engine in ("rows", "sweep", "loop"))
+        assert outcome(rows) == outcome(swept) == outcome(loop)
+        assert rows[2].engine == ("rows" if loop[2].visited_cones else "sweep")
 
 
 @pytest.mark.parametrize("fname", ["mult", "add", "custom"])
@@ -110,14 +134,14 @@ def test_identity_corpus(fname):
         assert_sweep_matches_loop(poly, f)
 
 
-def test_identity_through_solve_bst(monkeypatch):
+def test_identity_through_solve_bst():
     rng = random.Random(7)
     polys = [gen_staircase(h) for h in (2, 3, 10, 50)]
     for hi in (5, 10**4) * 15:
         polys.append(Polygon(tuple(rng.randint(1, hi) for _ in range(rng.randint(3, 120)))))
     for poly in polys:
         for f in WEIGHT_FNS:
-            loop, swept = solve_both(poly, f, monkeypatch)
+            loop, swept = solve_both(poly, f)
             assert outcome(swept) == outcome(loop)
 
 
@@ -145,7 +169,7 @@ def test_identity_through_solve_bst(monkeypatch):
         "2^40",
     ],
 )
-def test_past_int64(poly, fname, monkeypatch):
+def test_past_int64(poly, fname):
     # test_exact_engines' inputs, where the vector engines leave int64 for
     # object dtype mid-run or from the start; the sweep does so mid-run on
     # the first four and from the start on the rest
@@ -156,8 +180,8 @@ def test_past_int64(poly, fname, monkeypatch):
         # valued and walked: the constants and one level in int64, the rest in object dtype
         table = find_bridges_linear(poly)
         assert vec_dtypes(f, lambda g: sweep(poly, table, g)[4]()) == [("int64", 7), ("object", 45)]
-    loop, swept = solve_both(poly, f, monkeypatch)
-    assert outcome(swept) == outcome(loop)
+    loop, swept = solve_both(poly, f)
+    assert outcome(swept) == outcome(forced("rows", poly, f)) == outcome(loop)
     _, ts, _ = solve_yao(poly, f, engine="scalar")
     assert (swept[0], swept[1].edges) == (ts.weight, ts.edges)
 
@@ -167,13 +191,13 @@ def test_dispatch(monkeypatch):
     # the polygon picks the engine, the weight function only its dtype
     fa = TriangleWeightFn.additive()
     plain = TriangleWeightFn.custom(lambda x, y, z: x + y + z)  # no vec
-    at = gen_staircase(SWEEP_MIN_N // 2)  # about n / 2 cells per nest level
-    spread = gen_random(4 * SWEEP_MIN_N, 3)
+    at = gen_staircase(SWEEP_MIN_N // 2)  # about n / 2 cells per nest level, census 1.0025 x cells
+    spread = gen_random(4 * SWEEP_MIN_N, 3)  # census 75 x cells
     cases = [
         (Polygon(at.weights[:-1]), fa, "hash", (316412, 315615, 318002, "loop")),
-        (at, fa, "hash", (318004, 317206, 318801, "sweep")),
+        (at, fa, "hash", (318004, 317206, 318801, "rows")),
         (at, fa, "dense", (318004, 317206, 318801, "loop")),
-        (at, plain, "hash", (318004, 317206, 318801, "sweep")),
+        (at, plain, "hash", (318004, 317206, 318801, "rows")),
         (spread, fa, "hash", (23362, 19105, 1743135, "sweep")),
         (spread, plain, "hash", (23362, 19105, 1743135, "sweep")),
     ]
@@ -181,7 +205,12 @@ def test_dispatch(monkeypatch):
         st = solve_bst(poly, f, backend=backend)[2]
         assert (st.visited_cones, st.memo_hits, st.total_cones, st.engine) == want
     in_int64, in_object = (outcome(solve_bst(at, g)) for g in (fa, plain))
-    assert in_int64 == in_object  # backend "hash" and engine "sweep" in both
+    assert in_int64 == in_object  # backend "hash" and engine "rows" in both
+
+    # exact non-integer values through the rows
+    opt, tri, st = solve_bst(at, FRACTION)
+    assert st.engine == "rows" and isinstance(opt, Fraction) and opt.denominator != 1
+    assert opt == triangulation_weight(at, tri.edges, FRACTION)
 
     # exact non-integer values through the unpatched dispatch
     poly = gen_random(2 * SWEEP_MIN_N, 3)
