@@ -1,12 +1,14 @@
 """Ground truth: the classic cubic interval DP and a brute-force oracle.
 
-The DP fills one diagonal of arcs at a time in numpy; its two engines run
-the same code and differ only in arithmetic (``core.vector_arithmetic``).
+The DP fills one diagonal of arcs at a time from slices of its cost tables
+(kept by arc start and by arc end) and a window view of the weights; its two
+engines differ only in arithmetic (``core.vector_arithmetic``).
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     Polygon,
@@ -25,9 +27,11 @@ def solve_dp_cubic(
     """Minimum triangulation weight by interval DP over arcs (cubic time).
 
     cost(i, j) is the optimum for the sub-polygon on nodes i..j closed by
-    the chord (i, j); the answer is cost(0, n - 1). Each diagonal's arcs and
-    splits are one numpy expression; ties between split points resolve to
-    the smallest index, so reconstruction is deterministic. ``engine`` is
+    the chord (i, j); the answer is cost(0, n - 1). Diagonal d is one numpy
+    expression over slices: arc (i, i + d) split at i + k costs S[i, k] +
+    E[i + d, d - k] + f(W[i], H[i, k], W[i + d]), where S holds costs by
+    start, E by end and H[i, k] = W[i + k] is a view; ties go to the
+    smallest k, so reconstruction is deterministic. ``engine`` is
     "python", "numpy", or "auto". "numpy" needs ``f.vec`` and runs it in
     int64 while the costs stored so far prove the next diagonal cannot
     overflow, and in object dtype (exact Python ints) from the first
@@ -46,8 +50,10 @@ def solve_dp_cubic(
     fvec, dtype, tmax = vector_arithmetic(poly, f, engine == "numpy")
     n = poly.n
     W = np.array(poly.weights, dtype)
-    cost = np.zeros((n, n), dtype)
-    split = np.zeros((n, n), np.int64)
+    H = sliding_window_view(np.concatenate((W, W)), n)  # H[i, k] = W[i + k]
+    S = np.zeros((n, n), dtype)  # S[i, d] = cost(i, i + d)
+    E = np.zeros((n, n), dtype)  # E[j, d] = cost(j - d, j)
+    split = np.zeros((n, n), np.int32)  # the arc (i, i + d) splits at i + split[i, d]
     # Every candidate of a diagonal is at most 2 * top + tmax, where top is the
     # largest cost stored so far. From the first diagonal where that bound
     # reaches 2**63 the tables are object arrays of exact ints; tmax None
@@ -55,15 +61,14 @@ def solve_dp_cubic(
     top = 0
     for d in range(2, n):
         if tmax is not None and 2 * top + tmax >= INT64_LIMIT:
-            W, cost, tmax = W.astype(object), cost.astype(object), None
-        i = np.arange(n - d)
-        j = i + d
-        m = i[:, None] + np.arange(1, d)  # every split point of every arc (i, i + d)
-        cand = cost[i[:, None], m] + cost[m, j[:, None]] + fvec(W[i, None], W[m], W[j, None])
+            W, S, E, tmax = W.astype(object), S.astype(object), E.astype(object), None
+            H = sliding_window_view(np.concatenate((W, W)), n)
+        r = n - d  # row i is the arc (i, i + d), column k - 1 its split at i + k
+        cand = S[:r, 1:d] + E[d:, d - 1 : 0 : -1] + fvec(W[:r, None], H[:r, 1:d], W[d:, None])
         k = cand.argmin(axis=1)  # first minimum, so ties go to the smallest split
-        best = cand[i, k]
-        cost[i, j] = best
-        split[i, j] = m[i, k]
+        best = cand[np.arange(r), k]
+        S[:r, d] = E[d:, d] = best
+        split[:r, d] = k + 1
         if tmax is not None:
             top = max(top, int(best.max()))
     edges = []
@@ -72,13 +77,13 @@ def solve_dp_cubic(
         i, j = work.pop()
         if j - i < 2:
             continue
-        m = split.item(i, j)
+        m = i + split.item(i, j - i)
         for a, b in ((i, m), (m, j)):
             if b - a >= 2 and not (a == 0 and b == n - 1):
                 edges.append((a, b))
         work.append((i, m))
         work.append((m, j))
-    opt = cost.item(0, n - 1)  # never int(): fn's exact values need not be ints
+    opt = S.item(0, n - 1)  # never int(): fn's exact values need not be ints
     return opt, Triangulation(frozenset(edges), opt)
 
 

@@ -9,6 +9,7 @@ exit nonzero with a single machine-readable ``error=...`` line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -24,10 +25,10 @@ from .yao_solver import solve_yao
 
 __all__ = ["main"]
 
-_WEIGHT_FNS = {
-    "mult": TriangleWeightFn.multiplicative,
-    "add": TriangleWeightFn.additive,
-    "custom": TriangleWeightFn.product_plus_sum,
+_WEIGHT_FNS = {  # one instance per name: a custom fn's spot check runs once per process
+    "mult": TriangleWeightFn.multiplicative(),
+    "add": TriangleWeightFn.additive(),
+    "custom": TriangleWeightFn.product_plus_sum(),
 }
 
 
@@ -72,7 +73,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     else:
         poly = parse_polygon(text)
 
-    f = _WEIGHT_FNS[args.weight]()
+    f = _WEIGHT_FNS[args.weight]
     pairs: list[tuple[str, object]] = [
         ("algo", args.algo),
         ("weight_fn", args.weight),
@@ -139,7 +140,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         seed=args.seed,
         algos=algos,
         kind=args.kind,
-        f=_WEIGHT_FNS[args.weight](),
+        f=_WEIGHT_FNS[args.weight],
     )
     if args.csv is not None:
         write_csv(records, args.csv)
@@ -170,6 +171,7 @@ def _cmd_bridges(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # built once per process; parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polytri",

@@ -17,6 +17,7 @@ from polytri import (
     triangulation_weight,
     validate_triangulation,
 )
+from test_exact_engines import MIX_2_62, vec_dtypes
 
 
 # exact values no int64 table can hold; no vec, so every engine runs fn
@@ -117,6 +118,47 @@ class TestCubicDP:
                 assert tn.edges == tp.edges  # same smallest-split tie rule
                 assert validate_triangulation(poly, tn).ok
                 assert triangulation_weight(poly, tn, f) == vn
+
+    def test_engines_match_a_triple_loop(self, weight_fns):
+        # a reference that shares no layout with the engines: cost by arc,
+        # the smallest split kept on ties, chords read off the splits
+        def triple_loop(poly, fn):
+            w, n = poly.weights, poly.n
+            cost = [[0] * n for _ in range(n)]
+            split = [[0] * n for _ in range(n)]
+            for d in range(2, n):
+                for i in range(n - d):
+                    j = i + d
+                    best = None
+                    for m in range(i + 1, j):
+                        c = cost[i][m] + cost[m][j] + fn(w[i], w[m], w[j])
+                        if best is None or c < best:
+                            best, split[i][j] = c, m
+                    cost[i][j] = best
+            edges, work = set(), [(0, n - 1)]
+            while work:
+                i, j = work.pop()
+                if j - i >= 2:
+                    m = split[i][j]
+                    edges |= {(a, b) for a, b in ((i, m), (m, j)) if b - a >= 2}
+                    work += [(i, m), (m, j)]
+            return cost[0][n - 1], frozenset(edges - {(0, n - 1)})
+
+        rng = random.Random(41)
+        polys = [Polygon(tuple(rng.randint(1, 3) for _ in range(n))) for n in (3, 5, 9, 17, 33, 60)]
+        polys += [Polygon((5,) * n) for n in (4, 12, 60)]
+        polys += [MIX_2_62, Polygon((2**40, 1, 2, 2**40, 3, 4, 2**39) * 3)]
+        fns = dict(weight_fns, fraction=FRACTION_FN)
+        for poly in polys:
+            for name, f in fns.items():
+                want = triple_loop(poly, f.fn)
+                for engine in ("python", "numpy") if f.vec else ("python",):
+                    opt, tri = solve_dp_cubic(poly, f, engine=engine)
+                    assert (opt, tri.edges) == want, (poly.n, name, engine)
+        # under mult, MIX_2_62 switches to object dtype mid-run (pinned in
+        # test_switch_to_object_mid_run) and the last polygon starts in it
+        on_last = vec_dtypes(weight_fns["mult"], lambda g: solve_dp_cubic(polys[-1], g, engine="numpy"))
+        assert on_last == [("object", 19)]
 
     def test_rotation_invariance(self, weight_fns):
         rng = random.Random(31)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from polytri import bst_solver, gen_random, read_csv
+from polytri import bst_solver, cli, gen_random, read_csv
 from polytri.cli import main
 
 QUAD = "4\n1 2 5 3\n"
@@ -205,6 +205,34 @@ class TestBench:
         records = read_csv(path)
         assert len(records) == 3
         assert {r.weight_fn for r in records} == {"custom"}
+
+
+def test_successive_calls_match_fresh_ones(capsys, quad_file):
+    """One process, one parser and one weight fn per name: each call prints what a fresh one does."""
+    argvs = [
+        ("solve", "--input", quad_file, "--algo", "dp3", "--weight", "custom", "--emit-edges"),
+        ("gen", "--kind", "staircase", "--n", "6"),
+        ("solve", "--input", quad_file, "--algo", "heuristic"),
+        ("solve", "--input", quad_file, "--weight", "custom", "--emit-edges"),
+    ]
+
+    def strip(result):
+        code, out, err = result
+        return code, [line for line in out.splitlines() if not line.startswith("elapsed_ns=")], err
+
+    cli._build_parser.cache_clear()
+    successive = [strip(run_cli(capsys, *argv)) for argv in argvs]
+    assert cli._build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        fresh.append(strip(run_cli(capsys, *argv)))
+    assert successive == fresh
+    assert [code for code, _, _ in successive] == [0, 0, 1, 0]
+    assert successive[1][1] == ["6", "1 2 4 6 5 3"]
+    _, out, err = successive[2]
+    assert out == [] and err.count("\n") == 1 and err.startswith("error=")
+    assert "optimal_weight=42" in successive[0][1] and "optimal_weight=42" in successive[3][1]
 
 
 def test_console_script_installed():
