@@ -4,25 +4,30 @@ The polygon is purely combinatorial: node i sits between nodes (i - 1) mod n
 and (i + 1) mod n in clockwise order and carries a positive integer weight.
 A triangulation is a set of n - 3 pairwise non-crossing internal edges; its
 weight is the sum of a triangle weight function over the n - 2 triangles the
-edges create. One sweep over the nodes both validates an edge set and lists
-those triangles: ``validate_triangulation``, ``require_valid``,
-``list_triangles`` and ``triangulation_weight`` all read it, and so does the
-matrix-chain mapping through ``list_triangles``.
+edges create. ``validate_triangulation``, ``require_valid``,
+``list_triangles`` and ``triangulation_weight`` (and the matrix-chain mapping
+through ``list_triangles``) read an edge set by one of two routes. From
+``PASS_MIN_N`` nodes on, a numpy pass sorts the edges and checks each
+triangle by binary search; it accepts only valid triangulations. Below that
+size, and for every edge set the pass does not accept, a Python sweep over
+the nodes decides, and it alone words each rejection and error.
 """
 
 from __future__ import annotations
 
 import operator
 import random
+from array import array
 from dataclasses import dataclass, field
-from itertools import repeat
-from typing import Callable, Iterable
+from itertools import chain, repeat
+from typing import Callable, Collection, Iterable
 
 import numpy as np
 
 WEIGHT_MAX = 2**63 - 1  # node weights must fit a signed 64-bit integer
 INT64_LIMIT = 2**63  # the least value int64 cannot hold
 ACCUMULATOR_MAX = 2**127  # triangulation sums are checked against this bound
+PASS_MIN_N = 24  # from here on the numpy pass reads edge sets first (measured crossover)
 
 Edge = tuple[int, int]
 Triangle = tuple[int, int, int]  # node indices i < m < j
@@ -379,6 +384,62 @@ def _sweep(
     return ValidationResult(True), es, tris
 
 
+def _pass(poly: Polygon, pairs: Collection) -> np.ndarray | None:
+    """The triangles of a triangulation as a (3, n - 2) array of rows i, m, j.
+
+    None hands ``pairs`` to ``_sweep``. The pass reads only n - 3 pairs of
+    integers (no float or string is truncated) in range. It keys each pair
+    (a, b), a <= b, as a * n + b and sorts the keys with the side (0, n - 1).
+    Each key (a, b) then has apex m: the b of the key before it when that key
+    also starts at a, else a + 1. The pairs triangulate the polygon exactly
+    when every (m, b) is a side or a key (binary search), and the triangles
+    are the (a, m, b): read down from the side (0, n - 1) they tile the
+    polygon with n - 3 chords from the pairs, so they use them all.
+    """
+    n = poly.n
+    if len(pairs) != n - 3:
+        return None
+    try:
+        if set(map(len, pairs)) - {2}:  # a "pair" of another length is the sweep's to reject
+            return None
+        # array("q") reads each endpoint through operator.index, the sweep's
+        # rule: it raises on 2.5 or "2" where an int64 cast would truncate
+        ends = np.frombuffer(array("q", chain.from_iterable(pairs)), np.int64)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if (ends.view(np.uint64) >= n).any():  # negative or too large
+        return None
+    a, b = np.minimum(ends[::2], ends[1::2]), np.maximum(ends[::2], ends[1::2])
+    keys = np.empty(n - 2, np.int64)
+    np.add(a * n, b, out=keys[1:])
+    keys[0] = n - 1
+    keys.sort()
+    rows = np.empty((3, n - 2), np.int64)
+    a, m, b = rows
+    np.divmod(keys, n, out=(a, b))
+    np.add(a, 1, out=m)
+    # the first degenerate pair, else a side, else a repeated key gets m >= b and fails
+    run = a[1:] == a[:-1]
+    m[1:][run] = b[:-1][run]
+    need = m * n + b
+    if not ((b - m == 1) | (keys.take(keys.searchsorted(need), mode="clip") == need)).all():
+        return None
+    return rows
+
+
+def _route(
+    poly: Polygon, edges: Iterable[Edge] | Triangulation
+) -> tuple[Iterable[Edge], np.ndarray | None]:
+    """(edges, the pass's triangle rows); the rows are None where the sweep must read edges."""
+    if isinstance(edges, Triangulation):
+        edges = edges.edges
+    if poly.n < PASS_MIN_N:
+        return edges, None
+    if not isinstance(edges, (list, tuple, set, frozenset)):
+        edges = list(edges)  # the pass and a fallback sweep read an iterator once
+    return edges, _pass(poly, edges)
+
+
 def validate_triangulation(poly: Polygon, edges: Iterable[Edge] | Triangulation) -> ValidationResult:
     """Check that ``edges`` triangulate the polygon.
 
@@ -388,7 +449,8 @@ def validate_triangulation(poly: Polygon, edges: Iterable[Edge] | Triangulation)
     are reported in that fixed order: count, then the least side-duplicating
     edge, then the first crossing of the node sweep.
     """
-    return _sweep(poly, edges)[0]
+    edges, rows = _route(poly, edges)
+    return ValidationResult(True) if rows is not None else _sweep(poly, edges)[0]
 
 
 def _require(
@@ -402,31 +464,47 @@ def _require(
 
 def require_valid(poly: Polygon, edges: Iterable[Edge] | Triangulation) -> set[Edge]:
     """The normalized edge set; InvalidTriangulationError unless it is valid."""
-    return _require(poly, edges)[0]
+    edges, rows = _route(poly, edges)
+    if rows is None:
+        return _require(poly, edges)[0]
+    es = set(zip(rows[0].tolist(), rows[2].tolist()))
+    es.remove((0, poly.n - 1))
+    return es
 
 
-def list_triangles(poly: Polygon, tri: Iterable[Edge] | Triangulation) -> set[Triangle]:
-    """The n - 2 triangles (i, m, j), i < m < j, of a valid triangulation.
-
-    Read off the validating sweep (``validate_triangulation``'s pass) in
-    O(n log n) for the per-node chord sorts. Raises InvalidTriangulationError
-    for an invalid edge set, and SolverInvariantError unless the sweep
-    listed exactly n - 2 distinct triangles.
-    """
-    out = set(_require(poly, tri)[1])
+def _swept_triangles(poly: Polygon, edges: Iterable[Edge]) -> set[Triangle]:
+    out = set(_require(poly, edges)[1])
     if len(out) != poly.n - 2:
         raise SolverInvariantError(f"expected {poly.n - 2} triangles, got {len(out)}")
     return out
 
 
+def list_triangles(poly: Polygon, tri: Iterable[Edge] | Triangulation) -> set[Triangle]:
+    """The n - 2 triangles (i, m, j), i < m < j, of a valid triangulation.
+
+    Read off the numpy pass, or off the validating sweep in O(n log n) for
+    the per-node chord sorts. Raises InvalidTriangulationError for an
+    invalid edge set, and SolverInvariantError unless the sweep listed
+    exactly n - 2 distinct triangles.
+    """
+    edges, rows = _route(poly, tri)
+    return _swept_triangles(poly, edges) if rows is None else set(zip(*rows.tolist()))
+
+
 def triangulation_weight(
     poly: Polygon, tri: Iterable[Edge] | Triangulation, f: TriangleWeightFn
 ) -> int:
-    """Evaluate the sum of f over the triangles of ``tri``."""
-    w = poly.weights
-    total = 0
-    for a, b, c in list_triangles(poly, tri):
-        total += f.fn(w[a], w[b], w[c])
+    """Evaluate the sum of f over the triangles of ``tri``.
+
+    Calls ``f.fn`` on Python ints once per triangle and never ``f.vec``, so
+    the sum does not depend on the vector engines the solvers run.
+    """
+    edges, rows = _route(poly, tri)
+    if rows is None:
+        w = poly.weights
+        total = sum(f.fn(w[a], w[b], w[c]) for a, b, c in _swept_triangles(poly, edges))
+    else:  # node weights fit int64
+        total = sum(map(f.fn, *np.asarray(poly.weights)[rows].tolist()))
     if total >= ACCUMULATOR_MAX:
         raise OverflowError("triangulation weight exceeds the 128-bit accumulator range")
     return total
