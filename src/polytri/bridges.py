@@ -10,6 +10,12 @@ clockwise of x. So a polygon has exactly n - 2 bridges, and a bridge is
 named by its S node. A cone (u, v, apex) is the arc polygon of a bridge,
 optionally extended by one apex node lighter than both endpoints; cones are
 the only subproblems the solvers ever evaluate.
+
+``find_bridges_linear`` finds every node's nearest lighter nodes by one of
+two routes. From ``JUMP_MIN_N`` nodes on, a numpy pointer-jumping pass
+(``_jump``) goes first. It gives up past ``JUMP_WORK * n`` element steps,
+which staircases reach, and then, as below ``JUMP_MIN_N``, one Python stack
+pass (``_stack``) builds the same table.
 """
 
 from __future__ import annotations
@@ -20,6 +26,9 @@ from functools import cached_property
 import numpy as np
 
 from .core import Polygon
+
+JUMP_MIN_N = 500  # from here on the numpy pass goes first (measured crossover)
+JUMP_WORK = 8  # the numpy pass gives up past JUMP_WORK * n element steps (measured)
 
 Bridge = tuple[int, int]
 
@@ -138,7 +147,16 @@ def find_bridges_walk(poly: Polygon) -> BridgeTable:
 
 
 def find_bridges_linear(poly: Polygon) -> BridgeTable:
-    """Find all bridges in one nearest-lighter stack pass (linear).
+    """Find all bridges by nearest lighter nodes: the numpy pass, else the stack pass."""
+    if poly.n >= JUMP_MIN_N:
+        table = _jump(poly)
+        if table is not None:
+            return table
+    return _stack(poly)
+
+
+def _stack(poly: Polygon) -> BridgeTable:
+    """All bridges in one nearest-lighter stack pass (linear); the reference for ``_jump``.
 
     The scan starts at the lightest node and ends on a repeat of it, so no
     bridge arc wraps across it. The stack holds nodes in increasing rank;
@@ -161,6 +179,61 @@ def find_bridges_linear(poly: Polygon) -> BridgeTable:
                 found.append((u, t, x))
         stack.append(t)
     return _table(poly, found)
+
+
+def _nearest_lighter(rk: np.ndarray, near: np.ndarray, budget: int) -> int:
+    """Point each ``near[p]`` at p's nearest lighter position on one side; the budget left, or -1.
+
+    Every position strictly between p and ``near[p]`` is heavier than p. While
+    ``near[p]`` is too, the jump ``near[p] <- near[near[p]]`` keeps that true,
+    final or not, so all positions jump at once (Berkman, Schieber and
+    Vishkin's all-nearest-smaller-values scheme). It stops at -1 once its
+    element steps pass ``budget``: on staircases the rounds grow with n.
+    """
+    act = np.flatnonzero(rk[near] > rk)
+    while act.size:
+        budget -= act.size
+        if budget < 0:
+            return -1
+        to = near[near[act]]
+        near[act] = to
+        act = act[rk[to] > rk[act]]
+    return budget
+
+
+def _jump(poly: Polygon) -> BridgeTable | None:
+    """The table by the numpy pass, or None once its work passes ``JUMP_WORK`` * n steps.
+
+    Position p of the scan holds node (m0 + p) % n, for p = 0..n with the
+    lightest node m0 at both ends, so every other position has a lighter
+    position on each side. Node x at position p is S of the bridge between
+    the nodes at its nearest lighter positions, unless both are m0; the
+    lists are scattered by ``_table``'s rule.
+    """
+    n, m0 = poly.n, poly.rank[0]
+    rank_of = np.fromiter(poly.rank_of, np.int64, n)
+    node = np.append(np.roll(np.arange(n), -m0), m0)
+    rk = np.concatenate((rank_of[m0:], rank_of[: m0 + 1]))  # rank_of[node]
+    lo, hi = np.arange(-1, n), np.arange(1, n + 2)
+    lo[[0, n]] = hi[[0, n]] = 0, n  # the ends look for nothing
+    budget = _nearest_lighter(rk, lo, JUMP_WORK * n)
+    if budget < 0 or _nearest_lighter(rk, hi, budget) < 0:
+        return None
+    p = np.flatnonzero((lo[1:n] > 0) | (hi[1:n] < n)) + 1  # all but m0 and the second-lightest
+    a, b = lo[p], hi[p]
+    ru, rv = rk[a], rk[b]
+    x, u, v = node[p], node[a], node[b]
+    under = ru < rv  # u lighter: x = lc[v]; else x = rc[u]
+    out = np.full((5, n), -1, np.int64)  # the rows of ``arrays``
+    out[0, x], out[1, x] = u, v
+    out[2, v[under]] = x[under]
+    out[3, u[~under]] = x[~under]
+    out[4] = rank_of
+    out.flags.writeable = False
+    left, right, lc, rc = out[:4].tolist()
+    table = BridgeTable(poly, left, right, lc, rc, int(np.minimum(ru, rv).sum()))
+    vars(table)["arrays"] = out  # the cached_property's slot
+    return table
 
 
 def cone_nodes(poly: Polygon, cone: Cone) -> list[int]:

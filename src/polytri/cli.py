@@ -214,7 +214,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bridges = sub.add_parser("bridges", help="dump bridge table as 'u v S(u,v)' lines")
     p_bridges.add_argument("--input", required=True)
-    p_bridges.add_argument("--finder", choices=("walk", "linear"), default="linear")
+    finders = "walk: one clockwise walk per node (quadratic); linear: the numpy pass, else the stack pass"
+    p_bridges.add_argument("--finder", choices=("walk", "linear"), default="linear", help=finders)
     p_bridges.set_defaults(func=_cmd_bridges)
     return parser
 

@@ -11,6 +11,11 @@ through ``list_triangles``) read an edge set by one of two routes. From
 triangle by binary search; it accepts only valid triangulations. Below that
 size, and for every edge set the pass does not accept, a Python sweep over
 the nodes decides, and it alone words each rejection and error.
+
+``Polygon`` reads its weights by one numpy route at every size: an
+``array("q")`` read, a stable argsort for the rank and a scatter for its
+inverse. Weights that route refuses go to a Python loop, which alone words
+each rejection.
 """
 
 from __future__ import annotations
@@ -107,6 +112,35 @@ def check_accumulator_bound(poly: "Polygon", f: "TriangleWeightFn") -> None:
         )
 
 
+def _ranked(weights: Iterable) -> tuple[array, np.ndarray]:
+    """The weights as array("q") and their stable argsort; ValueError naming a bad weight.
+
+    array("q") reads each weight through operator.index, as ``as_ints``
+    does, so 1.9, "4" and 2**63 are refused, never truncated, and the sort
+    finds the least weight. Weights it refuses, fewer than 3 and a least
+    weight below 1 go to the Python loop, which alone words each rejection.
+    """
+    if not isinstance(weights, (tuple, list, np.ndarray)):
+        weights = tuple(weights)  # the loop may read them again
+    try:
+        w = array("q", weights)
+        if len(w) >= 3:
+            rank = np.frombuffer(w, np.int64).argsort(kind="stable")  # ties go by index
+            if w[rank[0]] > 0:
+                return w, rank
+    except (TypeError, ValueError, OverflowError):
+        pass
+    ws = as_ints(weights, "weight of node")
+    if len(ws) < 3:
+        raise ValueError(f"polygon needs at least 3 nodes, got {len(ws)}")
+    for i, x in enumerate(ws):
+        if x <= 0:
+            raise ValueError(f"node {i} has non-positive weight {x}")
+        if x > WEIGHT_MAX:
+            raise ValueError(f"node {i} weight {x} exceeds the signed 64-bit limit")
+    return _ranked(ws)  # Python ints the loop accepts: the route takes them
+
+
 @dataclass(frozen=True)
 class Polygon:
     """Clockwise node weights plus the derived light-to-heavy node order.
@@ -126,23 +160,17 @@ class Polygon:
     rank_of: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        ws = as_ints(self.weights, "weight of node")
+        ws = self.weights
+        w, rank = _ranked(ws)
+        n = len(w)
+        rank_of = np.empty_like(rank)
+        rank_of[rank] = np.arange(n)
+        if type(ws) is not tuple or set(map(type, ws)) != {int}:  # else share the caller's ints
+            ws = tuple(w.tolist())
         object.__setattr__(self, "weights", ws)
-        n = len(ws)
         object.__setattr__(self, "n", n)
-        if n < 3:
-            raise ValueError(f"polygon needs at least 3 nodes, got {n}")
-        for i, w in enumerate(ws):
-            if w <= 0:
-                raise ValueError(f"node {i} has non-positive weight {w}")
-            if w > WEIGHT_MAX:
-                raise ValueError(f"node {i} weight {w} exceeds the signed 64-bit limit")
-        rank = tuple(sorted(range(n), key=ws.__getitem__))  # stable: ties go by index
-        rank_of = [0] * n
-        for r, node in enumerate(rank):
-            rank_of[node] = r
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "rank_of", tuple(rank_of))
+        object.__setattr__(self, "rank", tuple(rank.tolist()))
+        object.__setattr__(self, "rank_of", tuple(rank_of.tolist()))
 
     def adjacent(self, a: int, b: int) -> bool:
         d = (a - b) % self.n

@@ -3,6 +3,7 @@
 import random
 import re
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -64,13 +65,17 @@ class TestPolygon:
         assert poly.weights == (3, 1, 2)
         assert all(type(w) is int for w in poly.weights)
 
-    @settings(max_examples=150)
-    @given(w=st.lists(st.integers(1, 3), min_size=3, max_size=60))
+    @settings(max_examples=150, deadline=None)
+    @given(
+        w=st.sampled_from([2, 3, 10**6]).flatmap(
+            lambda hi: st.lists(st.integers(1, hi), min_size=3, max_size=2000)
+        )
+    )
     def test_rank_orders_by_weight_then_index(self, w):
         poly = Polygon((5, 1, 5, 2))
         assert poly.rank == (1, 3, 0, 2)  # ties: node 0 before node 2
         assert poly.rank_of == (2, 0, 3, 1)
-        poly = Polygon(tuple(w))  # tie-heavy
+        poly = Polygon(tuple(w))  # tie-heavy at hi = 2 and 3
         assert poly.rank == tuple(sorted(range(len(w)), key=lambda i: (w[i], i)))
         assert all(poly.rank[r] == i for i, r in enumerate(poly.rank_of))
 
@@ -88,6 +93,62 @@ class TestPolygon:
         poly = Polygon((7, 7, 1))
         assert poly.rank_of[0] < poly.rank_of[1]
         assert not poly.rank_of[1] < poly.rank_of[0]
+
+
+class TestPolygonRoute:
+    """Accepted weights take one numpy route; the Python loop words every refusal."""
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ((3, 0, 5), "node 1 has non-positive weight 0"),
+            ((3, -4, 5), "node 1 has non-positive weight -4"),
+            ((3, 1.9, 5), "weight of node 1 is not an integer: 1.9"),
+            ((3, Fraction(7, 2), 5), "weight of node 1 is not an integer: Fraction(7, 2)"),
+            ((3, "4", 5), "weight of node 1 is not an integer: '4'"),
+            ((3, 2**63, 5), "node 1 weight 9223372036854775808 exceeds the signed 64-bit limit"),
+            ((3, np.float64(2.0), 5), "weight of node 1 is not an integer: np.float64(2.0)"),
+            ((3, np.bool_(True), 5), "weight of node 1 is not an integer: np.True_"),
+            ((3, np.uint64(2**63), 5), "node 1 weight 9223372036854775808 exceeds the signed 64-bit limit"),
+            ((3, 4), "polygon needs at least 3 nodes, got 2"),
+            ((), "polygon needs at least 3 nodes, got 0"),
+            ((0, 1.9), "weight of node 1 is not an integer: 1.9"),  # every weight is read first
+            ((5, -1, 2**63), "node 1 has non-positive weight -1"),  # then the first fault by index
+            ((1, 2, -(2**64)), "node 2 has non-positive weight -18446744073709551616"),
+            ("345", "weight of node 0 is not an integer: '3'"),
+            ((w for w in (3, 1.5, 2)), "weight of node 1 is not an integer: 1.5"),
+        ],
+    )
+    def test_refusals_keep_their_words(self, weights, message):
+        with mock.patch.object(core, "as_ints", wraps=core.as_ints) as loop:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                Polygon(weights)
+        assert loop.call_count == 1  # the loop words it
+
+    @pytest.mark.parametrize(
+        "weights, want",
+        [
+            ((3, 1, 2), (3, 1, 2)),
+            ((True, 2, 3), (1, 2, 3)),
+            (tuple(np.array([3, 1, 2, 9], np.int64)), (3, 1, 2, 9)),
+            (tuple(np.array([3, 1, 2], np.uint8)), (3, 1, 2)),
+            (np.array([3, 1, 2, WEIGHT_MAX], np.int64), (3, 1, 2, WEIGHT_MAX)),
+            ([5, 5, 5], (5, 5, 5)),
+            ((w for w in (2, 7, 1)), (2, 7, 1)),
+        ],
+    )
+    def test_accepted_weights_are_python_ints(self, weights, want):
+        with mock.patch.object(core, "as_ints", wraps=core.as_ints) as loop:
+            poly = Polygon(weights)
+        assert loop.call_count == 0  # the numpy route alone
+        assert poly.weights == want and poly.n == len(want)
+        for field in (poly.weights, poly.rank, poly.rank_of):
+            assert type(field) is tuple and all(type(v) is int for v in field)
+        assert poly == Polygon(want)
+
+    def test_a_tuple_of_ints_is_kept(self):
+        weights = (3, 10**6, 2)
+        assert Polygon(weights).weights is weights  # no second copy of each int
 
 
 class TestTriangleWeightFn:
