@@ -13,13 +13,15 @@ the only subproblems the solvers ever evaluate.
 
 ``find_bridges_linear`` finds every node's nearest lighter nodes by one of
 two routes. From ``JUMP_MIN_N`` nodes on, a numpy pointer-jumping pass
-(``_jump``) goes first. It gives up past ``JUMP_WORK * n`` element steps,
-which staircases reach, and then, as below ``JUMP_MIN_N``, one Python stack
-pass (``_stack``) builds the same table.
+(``_jump``) goes first. It gives up past ``JUMP_WORK * n * log2(n)`` element
+steps, which staircases reach (sorted or tied weights take about n log2 n),
+and then, as below ``JUMP_MIN_N``, one Python stack pass (``_stack``)
+builds the same table.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,7 +30,7 @@ import numpy as np
 from .core import Polygon
 
 JUMP_MIN_N = 500  # from here on the numpy pass goes first (measured crossover)
-JUMP_WORK = 8  # the numpy pass gives up past JUMP_WORK * n element steps (measured)
+JUMP_WORK = 1.25  # the numpy pass gives up past JUMP_WORK * n * log2(n) element steps (measured)
 
 Bridge = tuple[int, int]
 
@@ -54,17 +56,17 @@ class BridgeTable:
     S(v2, v1)), -1 where the pair is adjacent and at the lightest node:
     every bridge a cone expands into is one of these. ``apexed`` counts the
     apexed cones, the sum over the bridges of their lighter endpoint's rank.
+
+    The lists and ``arrays`` hold one table: a finder fills one form (the
+    stack pass the lists, the numpy pass ``arrays``), the other is made on
+    its first read, so a solve that reads only ``arrays`` makes no list.
     """
 
     poly: Polygon
-    left: list[int]
-    right: list[int]
-    lc: list[int]
-    rc: list[int]
     apexed: int
 
     def __len__(self) -> int:
-        return len(self.left) - self.left.count(-1)
+        return self.poly.n - 2  # every node but the two lightest names one bridge
 
     @property
     def bridges(self) -> tuple[Bridge, ...]:
@@ -83,6 +85,11 @@ class BridgeTable:
         if x < 0 or self.left[x] != u or self.right[x] != v:
             raise KeyError(f"({u}, {v}) is not a bridge")
         return x
+
+    left = cached_property(lambda self: self.arrays[0].tolist())
+    right = cached_property(lambda self: self.arrays[1].tolist())
+    lc = cached_property(lambda self: self.arrays[2].tolist())
+    rc = cached_property(lambda self: self.arrays[3].tolist())
 
     @cached_property
     def arrays(self) -> np.ndarray:
@@ -115,7 +122,9 @@ def _table(poly: Polygon, found: list[tuple[int, int, int]]) -> BridgeTable:
         else:
             rc[u] = x
             apexed += rv
-    return BridgeTable(poly, left, right, lc, rc, apexed)
+    table = BridgeTable(poly, apexed)
+    vars(table).update(left=left, right=right, lc=lc, rc=rc)  # the cached_properties' slots
+    return table
 
 
 def find_bridges_walk(poly: Polygon) -> BridgeTable:
@@ -202,13 +211,13 @@ def _nearest_lighter(rk: np.ndarray, near: np.ndarray, budget: int) -> int:
 
 
 def _jump(poly: Polygon) -> BridgeTable | None:
-    """The table by the numpy pass, or None once its work passes ``JUMP_WORK`` * n steps.
+    """The table by the numpy pass, or None once its work passes ``JUMP_WORK`` * n * log2(n) steps.
 
     Position p of the scan holds node (m0 + p) % n, for p = 0..n with the
     lightest node m0 at both ends, so every other position has a lighter
     position on each side. Node x at position p is S of the bridge between
     the nodes at its nearest lighter positions, unless both are m0; the
-    lists are scattered by ``_table``'s rule.
+    rows are scattered by ``_table``'s rule into ``arrays``.
     """
     n, m0 = poly.n, poly.rank[0]
     rank_of = np.fromiter(poly.rank_of, np.int64, n)
@@ -216,7 +225,7 @@ def _jump(poly: Polygon) -> BridgeTable | None:
     rk = np.concatenate((rank_of[m0:], rank_of[: m0 + 1]))  # rank_of[node]
     lo, hi = np.arange(-1, n), np.arange(1, n + 2)
     lo[[0, n]] = hi[[0, n]] = 0, n  # the ends look for nothing
-    budget = _nearest_lighter(rk, lo, JUMP_WORK * n)
+    budget = _nearest_lighter(rk, lo, int(JUMP_WORK * n * math.log2(n)))
     if budget < 0 or _nearest_lighter(rk, hi, budget) < 0:
         return None
     p = np.flatnonzero((lo[1:n] > 0) | (hi[1:n] < n)) + 1  # all but m0 and the second-lightest
@@ -230,9 +239,8 @@ def _jump(poly: Polygon) -> BridgeTable | None:
     out[3, u[~under]] = x[~under]
     out[4] = rank_of
     out.flags.writeable = False
-    left, right, lc, rc = out[:4].tolist()
-    table = BridgeTable(poly, left, right, lc, rc, int(np.minimum(ru, rv).sum()))
-    vars(table)["arrays"] = out  # the cached_property's slot
+    table = BridgeTable(poly, int(np.minimum(ru, rv).sum()))
+    vars(table)["arrays"] = out  # the cached_property's slot; the lists are made from it on first read
     return table
 
 

@@ -47,8 +47,7 @@ def _sweep(poly: Polygon, table: BridgeTable, f: TriangleWeightFn, engine: str) 
     row vz[x] of apexed values by apex rank; get decodes a packed key
     x*(n + 1) + k into v0[x] (k = 0) or the row entry of apex k - 1.
     """
-    n, w = poly.n, poly.weights
-    fw = f.fn
+    n, w, fw, shape = poly.n, poly.weights, f.fn, _cone_shape(table)
     left, right, lc, rc = table.left, table.right, table.lc, table.rc
     rank_of = poly.rank_of
     order = sorted((x for x in range(n) if left[x] >= 0), key=lambda x: (right[x] - left[x]) % n)
@@ -82,7 +81,7 @@ def _sweep(poly: Polygon, table: BridgeTable, f: TriangleWeightFn, engine: str) 
         if (v - u) % n == 2:
             v0[x] = fw(w[u], w[x], w[v])
         else:
-            p, m, one = _cone_shape(table, x, 0)
+            p, m, one = shape(x, 0)
             a, b = left[m], right[m]
             val = child(lc[m], p, a, m) + child(rc[m], p, m, b)
             if one:

@@ -2,11 +2,12 @@
 
 From ``bridges.JUMP_MIN_N`` nodes on, ``find_bridges_linear`` tries the
 pointer-jumping numpy pass (``bridges._jump``) first; a polygon whose jumps
-exceed ``JUMP_WORK * n`` element steps, and every smaller polygon, takes
+exceed ``JUMP_WORK * n * log2(n)`` element steps, and every smaller polygon, takes
 the stack pass (``bridges._stack``). These tests force each route by
 patching the crossover and require the same table, bit for bit, from both.
 """
 
+import math
 import random
 from unittest import mock
 
@@ -16,7 +17,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bridges_by_definition
-from polytri import Polygon, bridges, find_bridges_linear, find_bridges_walk, gen_random, gen_staircase
+from polytri import (
+    Polygon,
+    TriangleWeightFn,
+    bridges,
+    bst_solver,
+    find_bridges_linear,
+    find_bridges_walk,
+    gen_random,
+    gen_staircase,
+    solve_bst,
+)
 
 ROUTES = {"jump": 3, "stack": 10**9}  # JUMP_MIN_N that forces each route
 
@@ -86,16 +97,24 @@ def test_routes_agree_where_the_budget_trips(family, n):
     assert_same_tables(poly, work=n * n)  # the jumps run to the end
 
 
-@pytest.mark.parametrize("family", ["staircase", "increasing", "sawtooth", "constant"])
+@pytest.mark.parametrize("family", ["staircase"])
 def test_budget_trips_on_long_chains(family):
-    # staircases need about n/8 rounds; sorted, sawtooth and constant weights about log2(n) on one side
+    # staircases need about n/8 rounds
     poly = families(2000)[family]
     assert bridges._jump(poly) is None
     assert stack_calls(poly) == 1
 
 
+@pytest.mark.parametrize("family", ["increasing", "decreasing", "sawtooth", "constant"])
+def test_log_deep_chains_take_the_jumps(family):
+    # sorted, sawtooth and constant weights need about log2(n) rounds on one side: within the budget
+    poly = families(2000)[family]
+    assert bridges._jump(poly) is not None
+    assert stack_calls(poly) == 0
+
+
 def test_jump_work_is_bounded():
-    """The jumps' element steps never pass JUMP_WORK * n, whatever the polygon."""
+    """The jumps' element steps never pass JUMP_WORK * n * log2(n), whatever the polygon."""
     seen = []
     real = bridges._nearest_lighter
 
@@ -109,7 +128,7 @@ def test_jump_work_is_bounded():
         with mock.patch.object(bridges, "_nearest_lighter", spy):
             bridges._jump(poly)
         (budget, left), *rest = seen
-        assert budget == bridges.JUMP_WORK * poly.n  # one budget for both sides
+        assert budget == int(bridges.JUMP_WORK * poly.n * math.log2(poly.n))  # one budget for both sides
         if rest:
             assert rest[0][0] == left >= 0
         assert all(-1 <= left <= budget for budget, left in seen)
@@ -122,6 +141,27 @@ def test_route_is_pinned():
     assert stack_calls(gen_random(5000, 1)) == 0
     assert stack_calls(gen_staircase(1000)) == 1  # staircase n = 2000 trips the budget
     assert stack_calls(gen_random(bridges.JUMP_MIN_N - 1, 1)) == 1
+
+
+def test_budget_grows_with_log_n():
+    # sorted weights jump about n log2(n) steps and stay on numpy; a staircase still hands over
+    assert stack_calls(Polygon(tuple(range(1, 10**4 + 1)))) == 0
+    assert stack_calls(gen_staircase(1000)) == 1
+
+
+def test_sweep_solves_make_no_bridge_lists():
+    # a hash solve that takes the sweep reads the jump route's arrays alone; the lists wait for a reader
+    tables = []
+
+    def finder(poly):
+        tables.append(find_bridges_linear(poly))
+        return tables[-1]
+
+    with mock.patch.object(bst_solver, "find_bridges_linear", finder):
+        assert solve_bst(gen_random(4000, 2), TriangleWeightFn.additive())[2].engine == "sweep"
+    (table,) = tables
+    assert not {"left", "right", "lc", "rc"} & set(vars(table))
+    assert table.lc == table.arrays[2].tolist() and "lc" in vars(table)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -177,9 +177,10 @@ def test_past_int64(poly, fname):
     assert_sweep_matches_loop(poly, f)
     assert assert_walks_agree(poly, f) == object
     if poly is MIX_2_62:
-        # valued and walked: the constants and one level in int64, the rest in object dtype
+        # valued and walked: the constants and two Z levels in int64, the other nine and the walk in
+        # object dtype (A levels take their triangles from the constants)
         table = find_bridges_linear(poly)
-        assert vec_dtypes(f, lambda g: sweep(poly, table, g)[4]()) == [("int64", 7), ("object", 45)]
+        assert vec_dtypes(f, lambda g: sweep(poly, table, g)[4]()) == [("int64", 10), ("object", 30)]
     loop, swept = solve_both(poly, f)
     assert outcome(swept) == outcome(forced("rows", poly, f)) == outcome(loop)
     _, ts, _ = solve_yao(poly, f, engine="scalar")
@@ -244,14 +245,14 @@ def test_vec_never_sees_an_empty_array(monkeypatch):
 )
 def test_thin_polygons_take_the_loop(weights, monkeypatch):
     # nested n deep with a few cells per nest level: the loop is many times
-    # faster, and the layout hands over before it levels or lays out a cell,
+    # faster, and the layout hands over before it lays out a cell,
     # in int64 (add's vec) and in object dtype (fn alone) alike
     poly = Polygon(tuple(weights))
 
-    def levels(*args):
-        raise AssertionError("_levels reached")
+    def chunks(*args):
+        raise AssertionError("_chunks reached")
 
-    monkeypatch.setattr(bst_solver, "_levels", levels)
+    monkeypatch.setattr(bst_solver, "_chunks", chunks)
     for f in (TriangleWeightFn.additive(), TriangleWeightFn.custom(lambda x, y, z: x + y + z)):
         opt, tri, st = solve_bst(poly, f)
         assert st.engine == "loop"
@@ -273,25 +274,36 @@ def test_cells_are_the_visited_cones():
 
 
 def _corrupt(kind, layout):
-    """_layout with one fault planted in what it returns."""
+    """_layout with one fault planted in the per-node tables it returns."""
 
     def planted(*args):
-        spans, kids, keys, root_cells = layout(*args)
-        i = int(np.flatnonzero(kids[1] >= 0)[0])  # a cell with a child 1
+        visited, hits, levels, node, start, base, keys, root_cells = layout(*args)
+        n = len(args[0])
+        has_1 = (base[1] < visited) & (start[:-1] < visited)  # a node with cells and a child 1
+        i = int(np.flatnonzero(has_1)[0])
         if kind == "child":  # child 1 names the next cell, which holds another cone
-            kids[1, i] = kids[1, i] + 1
+            base[1, i] += 1
         elif kind == "unwritten":
-            keys[i] = -1
+            keys[start[i]] = -1
         elif kind == "twice":  # one cone written into two slots, the second one's own lost
-            keys[kids[1, i]] = keys[i]
+            keys[base[1, i]] = keys[start[i]]
+        elif kind == "apex":  # slot 0 of a Z row's Z child 1 holds another apex than the row's: k becomes k % n + 1
+            c = base[1, n + int(np.flatnonzero(has_1[n:])[0])]
+            keys[c] += keys[c] % (n + 1) % n + 1 - keys[c] % (n + 1)
         else:  # "orphan": the roots' cells go missing, so no cell names them
             root_cells = root_cells[:0]
-        return spans, kids, keys, root_cells
+        return visited, hits, levels, node, start, base, keys, root_cells
 
     return planted
 
 
-FAULTS = {"child": "wrong child", "unwritten": "wrote no cone", "twice": "wrong child", "orphan": "no cell's child"}
+FAULTS = {
+    "child": "wrong child",
+    "unwritten": "wrote no cone",
+    "twice": "wrong child",
+    "apex": "different apexes",
+    "orphan": "no cell's child",
+}
 
 
 @pytest.mark.parametrize("kind", sorted(FAULTS))
@@ -373,7 +385,7 @@ def test_walk_refuses_a_corrupt_cell(poly):
             raised += 1
         values[i] -= 1
     # at least the cells that give an edge, all but the root's
-    assert raised >= poly.n - 3 - len(_root(table, f)[0])
+    assert raised >= poly.n - 3 - len(_root(poly, table.lc, table.rc, f)[0])
 
 
 @settings(deadline=None, max_examples=60)
