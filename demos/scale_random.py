@@ -11,7 +11,8 @@ solve_bst does at this size, one layer at a time:
     pass1          the BST sweep's layout of the visited cones and its proof
     pass2          the sweep's valuing of every laid-out cone
     walk           the sweep's witness walk
-    Triangulation  the witness's edge set
+    Triangulation  the witness (the sweep's rows, kept as they are)
+    check          validate_triangulation and triangulation_weight on it
 
 Weights in [1, 10] tie so often that the cone graph is about n levels deep,
 and solve_bst takes the loop instead (engine "loop"): pass1 is then the
@@ -42,9 +43,9 @@ import tracemalloc
 
 from polytri import Polygon, TriangleWeightFn, Triangulation, find_bridges_linear, gen_random
 from polytri import bst_solver
-from polytri.core import triangulation_weight
+from polytri.core import triangulation_weight, validate_triangulation
 
-COLUMNS = ("Polygon", "bridges", "pass1", "pass2", "walk", "Triangulation", "rss_mb", "visited/nlogn", "census/n2")
+COLUMNS = ("Polygon", "bridges", "pass1", "pass2", "walk", "Triangulation", "check", "rss_mb", "visited/nlogn", "census/n2")
 RANGES = (10, 10**6, 10**12)  # the largest weight of each range; the least is 1
 
 
@@ -74,7 +75,7 @@ def search(poly: Polygon, table, f: TriangleWeightFn) -> tuple:
 
 
 def one(n: int, seed: int, hi: int, trace: bool) -> dict:
-    """Time each layer of one solve at size n; checks the witness after the timing."""
+    """Time each layer of one solve at size n, then the check of its witness."""
     f = TriangleWeightFn.additive()
     weights = gen_random(n, seed, 1, hi).weights
     clock = time.perf_counter
@@ -88,8 +89,12 @@ def one(n: int, seed: int, hi: int, trace: bool) -> dict:
     t3 = clock()
     opt, rows = walk()
     t4 = clock()
-    tri = Triangulation(zip(*rows.T.tolist()) if engine == "sweep" else rows, opt)
+    tri = Triangulation(rows, opt)
     t5 = clock()
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # the solve's peak, before the check
+    if not (validate_triangulation(poly, tri).ok and triangulation_weight(poly, tri, f) == opt):
+        raise SystemExit(f"n={n}: the witness does not check")
+    t6 = clock()
     out = {
         "engine": engine,
         "Polygon": (t1 - t0) * 1e3,
@@ -98,11 +103,11 @@ def one(n: int, seed: int, hi: int, trace: bool) -> dict:
         "pass2": (t3 - t2 - pass1) * 1e3,
         "walk": (t4 - t3) * 1e3,
         "Triangulation": (t5 - t4) * 1e3,
-        "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "check": (t6 - t5) * 1e3,
+        "rss_mb": rss,
         "visited/nlogn": visited / (n * math.log2(n)),
         "census/n2": census / n**2,
     }
-    assert triangulation_weight(poly, tri, f) == opt
     if trace:
         del walk, rows, tri
         tracemalloc.start()

@@ -488,6 +488,11 @@ def _check_layout(
     flips = np.flatnonzero(np.diff(node >= n)) + 1  # where A nodes turn to Z nodes or back
     if len(node) and (ends[0] or size.min() < 1 or length[:n].max() > 1 or not np.isin(flips, levels).all()):
         raise SolverInvariantError("the sweep's nodes do not tile its cells by level, one cell per A node")
+    level = np.zeros(2 * n + 1, np.min_scalar_type(len(levels)))  # each node's level in pass 2, from 1; 0: no cells
+    level[node] = np.repeat(np.arange(1, len(levels), dtype=level.dtype), np.diff(levels))
+    if (late := (level[child] >= level[:-1]) & (level[:-1] > 0)).any():  # pass 2 would read a child not valued yet
+        j, x = divmod(int(late.argmax()), 2 * n)
+        raise SolverInvariantError(f"cell {start[x]}: child {j} in level {level[child[j, x]] - 1} >= {level[x] - 1}")
     lo, run = start[child], child[1:, n:] >= 0  # run: a Z row's Z children, slot by slot
     good = (lo <= base) & (base < lo + length[child])  # every child in its node's cells
     good[1:, n:] &= ~run | (base[1:, n:] == lo[1:, n:]) & (length[child[1:, n:]] >= length[n:-1])
@@ -774,7 +779,8 @@ def solve_bst(poly: Polygon, f: TriangleWeightFn, backend: str = "hash") -> tupl
     dtype, with one numpy expression per bridge and, in int64, 8 bytes per
     cone (the sweep holds 17 per cell, its key, value and winning branch,
     past a traced peak of about 45 at 10**6 nodes); the witness is walked
-    over them by key. Every other solve takes the loop.
+    over them by key. Every other solve takes the loop. The sweep hands its
+    witness to the Triangulation as sorted int64 rows and builds no edge set.
     """
     t0 = time.perf_counter_ns()
     if backend not in ("hash", "dense"):
@@ -788,9 +794,7 @@ def solve_bst(poly: Polygon, f: TriangleWeightFn, backend: str = "hash") -> tupl
     if swept is not None and len(swept) == 5:
         engine = "sweep"
         visited, hits, _, _, walk = swept
-        opt, rows = walk()
-        edges = zip(*rows.T.tolist())  # Triangulation makes the one frozenset
-        del swept, walk  # the cells go before the Triangulation is built
+        opt, edges = walk()
     elif swept is not None:  # the loop's counts alone: near the census, Yao's rows value every cone
         from .yao_solver import _sweep as yao_rows  # yao_solver imports this module
 

@@ -10,7 +10,10 @@ through ``list_triangles``) read an edge set by one of two routes. From
 ``PASS_MIN_N`` nodes on, a numpy pass sorts the edges and checks each
 triangle by binary search; it accepts only valid triangulations. Below that
 size, and for every edge set the pass does not accept, a Python sweep over
-the nodes decides, and it alone words each rejection and error.
+the nodes decides, and it alone words each rejection and error. A
+``Triangulation`` built from a solver's int64 rows, and its ``EdgeSet``,
+hand the pass those rows with no ``array("q")`` read; they pass its every
+check or go the route of any other edge set.
 
 ``Polygon`` reads its weights by one numpy route at every size: an
 ``array("q")`` read, a stable argsort for the rank and a scatter for its
@@ -312,14 +315,32 @@ class TriangleWeightFn:
                 )
 
 
+class EdgeSet(frozenset):
+    """Edges that keep the int64 rows they came from as ``rows``; sets derived from them are plain frozensets."""
+
+    __slots__ = ("rows",)
+
+    def __reduce__(self):
+        return frozenset, (tuple(self),)
+
+
 @dataclass(frozen=True)
 class Triangulation:
-    """A set of internal edges plus the weight claimed by its producer."""
+    """A set of internal edges plus the weight claimed by its producer.
+
+    Given a solver's (k, 2) int64 rows, it keeps a read-only copy (``rows``,
+    else None) for the checks and builds ``edges``, an ``EdgeSet``, when read.
+    """
 
     edges: frozenset[Edge]
     weight: int
+    rows: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if isinstance(rows := self.edges, np.ndarray) and rows.dtype == np.int64 and rows.shape[1:] == (2,):
+            object.__setattr__(self, "rows", rows.copy())
+            self.rows.flags.writeable = False
+            return object.__delattr__(self, "edges")  # __getattr__ builds it on the first read
         index = operator.index  # the rule _edge_set applies: numpy integers become ints
         try:
             edges = frozenset(norm_edge(index(a), index(b)) for a, b in self.edges)
@@ -328,6 +349,17 @@ class Triangulation:
                 _index_pair(pair)
             raise ValueError("an edge has an endpoint that is not an integer") from None
         object.__setattr__(self, "edges", edges)
+
+    def __getattr__(self, name: str):
+        if name != "edges" or self.rows is None:
+            raise AttributeError(name)
+        a, b = self.rows.T
+        object.__setattr__(self, "edges", EdgeSet(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist())))
+        self.edges.rows = self.rows
+        return self.edges
+
+    def __reduce__(self):  # a copy or a pickle keeps the rows, read-only
+        return Triangulation, (self.edges if self.rows is None else self.rows, self.weight)
 
 
 @dataclass(frozen=True)
@@ -428,11 +460,12 @@ def _pass(poly: Polygon, pairs: Collection) -> np.ndarray | None:
     if len(pairs) != n - 3:
         return None
     try:
-        if set(map(len, pairs)) - {2}:  # a "pair" of another length is the sweep's to reject
+        if isinstance(pairs, np.ndarray):  # a Triangulation's (n - 3, 2) int64 rows
+            ends = pairs.reshape(-1)
+        elif set(map(len, pairs)) - {2}:  # a "pair" of another length is the sweep's to reject
             return None
-        # array("q") reads each endpoint through operator.index, the sweep's
-        # rule: it raises on 2.5 or "2" where an int64 cast would truncate
-        ends = np.frombuffer(array("q", chain.from_iterable(pairs)), np.int64)
+        else:  # array("q") reads each endpoint through operator.index, the sweep's rule: 2.5 or "2" raise
+            ends = np.frombuffer(array("q", chain.from_iterable(pairs)), np.int64)
     except (TypeError, ValueError, OverflowError):
         return None
     if (ends.view(np.uint64) >= n).any():  # negative or too large
@@ -447,10 +480,9 @@ def _pass(poly: Polygon, pairs: Collection) -> np.ndarray | None:
     np.divmod(keys, n, out=(a, b))
     np.add(a, 1, out=m)
     # the first degenerate pair, else a side, else a repeated key gets m >= b and fails
-    run = a[1:] == a[:-1]
-    m[1:][run] = b[:-1][run]
-    need = m * n + b
-    if not ((b - m == 1) | (keys.take(keys.searchsorted(need), mode="clip") == need)).all():
+    np.copyto(m[1:], b[:-1], where=a[1:] == a[:-1])
+    need = (m * n + b)[b - m != 1]  # a side needs no search
+    if (keys.take(keys.searchsorted(need), mode="clip") != need).any():
         return None
     return rows
 
@@ -458,7 +490,10 @@ def _pass(poly: Polygon, pairs: Collection) -> np.ndarray | None:
 def _route(
     poly: Polygon, edges: Iterable[Edge] | Triangulation
 ) -> tuple[Iterable[Edge], np.ndarray | None]:
-    """(edges, the pass's triangle rows); the rows are None where the sweep must read edges."""
+    """(edges, the pass's triangle rows), None where the sweep must read edges; kept rows go to the pass as they are."""
+    rows = getattr(edges, "rows", None) if isinstance(edges, (Triangulation, EdgeSet)) else None
+    if rows is not None and poly.n >= PASS_MIN_N and (tris := _pass(poly, rows)) is not None:
+        return edges, tris
     if isinstance(edges, Triangulation):
         edges = edges.edges
     if poly.n < PASS_MIN_N:
@@ -531,8 +566,8 @@ def triangulation_weight(
     if rows is None:
         w = poly.weights
         total = sum(f.fn(w[a], w[b], w[c]) for a, b, c in _swept_triangles(poly, edges))
-    else:  # node weights fit int64
-        total = sum(map(f.fn, *np.asarray(poly.weights)[rows].tolist()))
+    else:  # gathers the polygon's own ints, so tolist makes no new ones
+        total = sum(map(f.fn, *np.fromiter(poly.weights, object, poly.n)[rows].tolist()))
     if total >= ACCUMULATOR_MAX:
         raise OverflowError("triangulation weight exceeds the 128-bit accumulator range")
     return total

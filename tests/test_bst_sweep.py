@@ -290,6 +290,14 @@ def _corrupt(kind, layout):
         elif kind == "apex":  # slot 0 of a Z row's Z child 1 holds another apex than the row's: k becomes k % n + 1
             c = base[1, n + int(np.flatnonzero(has_1[n:])[0])]
             keys[c] += keys[c] % (n + 1) % n + 1 - keys[c] % (n + 1)
+        elif kind == "level":  # levels 0 and 2 (A nodes, say) trade places, each node's run of cells moved whole
+            ends, swap = np.append(start[node], visited), [2, 1, 0, *range(3, len(levels) - 1)]
+            node = np.concatenate([node[levels[i] : levels[i + 1]] for i in swap])
+            levels = [0, *np.cumsum(np.diff(levels)[swap]).tolist()]
+            old = np.concatenate([np.arange(start[x], ends[np.searchsorted(ends, start[x], side="right")]) for x in node])
+            moved = np.append(np.empty(visited, np.int64), visited)  # each cell's new place; the absent child's stays
+            moved[old] = np.arange(visited)
+            start, base, keys, root_cells = moved[start], moved[base], keys[old], moved[root_cells]
         else:  # "orphan": the roots' cells go missing, so no cell names them
             root_cells = root_cells[:0]
         return visited, hits, levels, node, start, base, keys, root_cells
@@ -302,6 +310,7 @@ FAULTS = {
     "unwritten": "wrote no cone",
     "twice": "wrong child",
     "apex": "different apexes",
+    "level": "child . in level",
     "orphan": "no cell's child",
 }
 
