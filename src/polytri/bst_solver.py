@@ -12,20 +12,20 @@ cone's key is x*(n + 1) + k, x the S node that names its bridge
   specific edge is (branch 2), and the solver takes the cheaper.
 
 ``expand_cone`` and ``expand_root`` are the public, self-describing form of
-the rules. Every cone expansion also has one compact shape, (p, ab, one),
-stated once in ``_cone_shape``. ``solve_bst`` runs it in one of three
+the rules. The scalar engines read every cone expansion as one record,
+stated once in ``_branches``. ``solve_bst`` runs the rules in one of three
 engines (its docstring says which solve takes which): the loop, over a
 flattened work stack of packed keys memoized in a dict (backend "hash") or
 a flat list indexed by the key (backend "dense"); the sweep, which lays the
 visited cones out per node in numpy, in closed form from the bridge nesting
 (which cones the search visits depends on the polygon alone), and values
-them a few numpy calls per level; or yao_solver's rows, which value every
-cone. ``reconstruct_triangulation`` walks one winning edge set over solved
-values by packed key, for the loop, the rows and yao_solver; the sweep
-walks its own cells. "Lighter" is always ``rank_of[a] < rank_of[b]``. A
-stored value that no branch reproduces raises SolverInvariantError. The
-tests cross-check the packed forms against the public rules, and the sweep
-and the rows against the loop.
+them a few numpy calls per level, the record in array form; or yao_solver's
+rows, which value every cone. ``reconstruct_triangulation`` walks one
+winning edge set over solved values by packed key, for the loop, the rows
+and yao_solver; the sweep walks its own cells. "Lighter" is always
+``rank_of[a] < rank_of[b]``. A stored value that no branch reproduces
+raises SolverInvariantError. The tests cross-check the records against the
+public rules cone by cone, and the sweep and the rows against the loop.
 """
 
 from __future__ import annotations
@@ -226,26 +226,6 @@ def expand_root(poly: Polygon) -> list[Branch]:
     ]
 
 
-def _cone_values(poly: Polygon, f: TriangleWeightFn, get: Callable[[int], int | None]) -> Callable[..., tuple]:
-    """The walks' base rule as cone(x, k, a, b): cone (a, b), S node x (-1: one side), apex k - 1.
-
-    A base cone gives key -1 and its value (on one side, its apex's triangle
-    or none; apexless with one interior node x, the triangle (a, x, b)), any
-    other its packed key x * (n + 1) + k and get(key).
-    """
-    n, w, fw, n1 = poly.n, poly.weights, f.fn, poly.n + 1
-
-    def cone(x: int, k: int, a: int, b: int) -> tuple[int, int | None]:
-        if x < 0:
-            return -1, fw(w[a], w[b], w[k - 1]) if k else 0
-        if not k and (b - a) % n == 2:
-            return -1, fw(w[a], w[x], w[b])
-        key = x * n1 + k
-        return key, get(key)
-
-    return cone
-
-
 def _root(
     poly: Polygon, lc: Sequence[int], rc: Sequence[int], f: TriangleWeightFn
 ) -> tuple[tuple[Edge, ...], list, int]:
@@ -256,47 +236,77 @@ def _root(
     cone of the bridge between them, so the root takes part in the memo;
     otherwise the root is expand_root's single, forced, branch.
     """
-    n, rank_of = poly.n, poly.rank_of
+    n, w, fw, rank_of = poly.n, poly.weights, f.fn, poly.rank_of
     v1, v2 = poly.rank[0], poly.rank[1]
-    cone = _cone_values(poly, f, lambda key: None)  # only the base cones' values are read
     if (v2 - v1) % n == 1:
-        edges, vals = (), [cone(rc[v2], 0, v2, v1)]
+        edges, cones = (), [(rc[v2], 0, v2, v1)]
     elif (v1 - v2) % n == 1:
-        edges, vals = (), [cone(lc[v2], 0, v1, v2)]
+        edges, cones = (), [(lc[v2], 0, v1, v2)]
     else:
         (br,) = expand_root(poly)
-        edges, vals = br.edges, []
+        edges, cones = br.edges, []
         for c in br.children:
             x = (lc[c.v] if rank_of[c.u] < rank_of[c.v] else rc[c.u]) if (c.v - c.u) % n > 1 else -1
-            vals.append(cone(x, 0 if c.apex is None else c.apex + 1, c.u, c.v))
-    return edges, [key for key, _ in vals if key >= 0], sum(val for key, val in vals if key < 0)
+            cones.append((x, 0 if c.apex is None else c.apex + 1, c.u, c.v))
+    keys, base = [], 0
+    for x, k, a, b in cones:  # cone (a, b), S node x (-1: a single side), apex k - 1 (k = 0: none)
+        if x < 0:
+            base += fw(w[a], w[b], w[k - 1]) if k else 0
+        elif not k and (b - a) % n == 2:
+            base += fw(w[a], w[x], w[b])
+        else:
+            keys.append(x * (n + 1) + k)
+    return edges, keys, base
 
 
-def _cone_shape(table: BridgeTable) -> Callable[[int, int], tuple[int, int, bool]]:
-    """shape(x, k): the (p, ab, one) shape of the non-base cone of bridge x with apex k - 1 (k = 0: none).
+def _branches(poly: Polygon, table: BridgeTable, f: TriangleWeightFn) -> Callable[[int, int], tuple]:
+    """branch(x, k): the expansion of the cone of bridge x (its S node) with apex k - 1 (k = 0: none).
 
-    Bridges are named by their S node. Every expand_cone expansion has this
-    shape. p is the apex, or the lighter endpoint of an apexless cone, and
-    ab names the bridge (a, b) = (left[ab], right[ab]) left after p's forced
-    side. Branch 1, present only when ``one`` is set, is the triangle
-    (a, b, p) plus the apexless cone (a, b). Branch 2 (the only, forced,
-    branch when ``one`` is not set) is the edge (p, m), m = S(a, b) = ab,
-    splitting into the cones (a, m) and (m, b), bridges lc[ab] and rc[ab]
-    (-1: a single side), each with apex p unless p is its endpoint. shape
-    reads the table's lists once, when made, not on every call.
+    An apexless cone of one triangle gives (value,); any other the record
+    (p, m, c2, ch2a, ch2b, c1, ch1). p is the apex, or the lighter endpoint
+    of an apexless cone, and m = S(a, b) for the bridge (a, b) left after
+    p's forced side. Branch 2 is the edge (p, m): c2 sums its children that
+    are single apexed triangles, ch2a and ch2b are the packed keys of its
+    others, (a, m) and (m, b) (negative: none). Branch 1 is the triangle
+    (a, b, p), weight c1, plus the apexless cone (a, b), key ch1; ch1 < 0:
+    no branch 1, the edge (p, m) is forced. The table is read once, when made.
     """
-    left, right, lc, rc, rank_of = table.left, table.right, table.lc, table.rc, table.poly.rank_of
+    n, w, fw, n1 = poly.n, poly.weights, f.fn, poly.n + 1
+    left, right, lc, rc, rank_of = table.left, table.right, table.lc, table.rc, poly.rank_of
 
-    def shape(x: int, k: int) -> tuple[int, int, bool]:
+    def branch(x: int, k: int) -> tuple:
         if k:
-            return k - 1, x, True
-        u, v = left[x], right[x]
-        if rank_of[u] < rank_of[v]:
-            # x next to u: two branches, (a, b) = (x, v); otherwise the edge (u, x) is forced
-            return (u, rc[x], True) if lc[x] < 0 else (u, x, False)
-        return (v, lc[x], True) if rc[x] < 0 else (v, x, False)
+            p, m, one = k - 1, x, True
+        else:
+            u, v = left[x], right[x]
+            if (v - u) % n == 2:
+                return (fw(w[u], w[x], w[v]),)
+            # x next to the lighter end p: two branches, (a, b) the rest; otherwise the edge (p, x) is forced
+            if rank_of[u] < rank_of[v]:
+                p, m, one = (u, rc[x], True) if lc[x] < 0 else (u, x, False)
+            else:
+                p, m, one = (v, lc[x], True) if rc[x] < 0 else (v, x, False)
+        a, b = left[m], right[m]
+        c2, ch2a, ch2b = 0, -1, -1
+        c = lc[m]
+        if p == a:
+            ch2a = c * n1
+        elif c < 0:
+            c2 = fw(w[a], w[m], w[p])
+        else:
+            ch2a = c * n1 + p + 1
+        c = rc[m]
+        if p == b:
+            ch2b = c * n1
+        elif c < 0:
+            c2 += fw(w[m], w[b], w[p])
+        else:
+            ch2b = c * n1 + p + 1
+        if one:
+            return p, m, c2, ch2a, ch2b, fw(w[a], w[b], w[p]), m * n1
+        return p, m, c2, ch2a, ch2b, 0, -1
 
-    return shape
+    return branch
 
 
 def reconstruct_triangulation(
@@ -305,23 +315,21 @@ def reconstruct_triangulation(
     """Evaluate the root and walk one optimal edge set over solved cone values.
 
     The loop engine and yao_solver walk this way; the sweep walks its own
-    cells (_sweep). get(key) returns the solved value of the non-base cone
-    with packed key x*(n + 1) + k: the cone of the bridge whose S node is x,
-    with apex k - 1 (k = 0: none); base cones are valued directly and never
-    looked up. The root is evaluated first, as the sum of its cones
-    (_root). Returns (optimal weight, edges).
+    cells (_sweep). get(key) returns the solved value of the cone with
+    packed key x*(n + 1) + k: the cone of the bridge whose S node is x,
+    with apex k - 1 (k = 0: none), for every key the root (_root) or a
+    branch record (_branches) names. Returns (optimal weight, edges).
 
-    Each cone is expanded in its (p, ab, one) shape (_cone_shape). Branch 1
-    is taken when it reproduces the solved value, so it wins ties as in the
-    search; otherwise branch 2 must, or SolverInvariantError is raised, as
-    it is when the walk does not yield n - 3 edges.
+    Branch 1 is taken when it reproduces the solved value, so it wins ties
+    as in the search; otherwise branch 2 must, and an apexless cone of one
+    triangle must hold its weight, or SolverInvariantError is raised, as it
+    is when the walk does not yield n - 3 edges.
     """
-    n, w, fw, n1 = poly.n, poly.weights, f.fn, poly.n + 1
-    left, right, lc, rc = table.left, table.right, table.lc, table.rc
-    cone, shape = _cone_values(poly, f, get), _cone_shape(table)
-    root_edges, keys, opt = _root(poly, lc, rc, f)
+    n, n1, left, right = poly.n, poly.n + 1, table.left, table.right
+    branch = _branches(poly, table, f)
+    root_edges, keys, opt = _root(poly, table.lc, table.rc, f)
     edges: list[Edge] = list(root_edges)
-    stack: list[int] = []  # non-base cones to walk, as key, value pairs
+    stack: list[int] = []  # cones to walk, as key, value pairs
     for key in keys:
         val = get(key)
         opt += val
@@ -329,27 +337,29 @@ def reconstruct_triangulation(
     while stack:
         val = stack.pop()
         x, k = divmod(stack.pop(), n1)
-        p, m, one = shape(x, k)
-        a, b = left[m], right[m]
-        if one:
-            c, vc = cone(m, 0, a, b)
-            if fw(w[a], w[b], w[p]) + vc == val:
+        rec = branch(x, k)
+        if len(rec) > 1:
+            p, m, c2, ch2a, ch2b, c1, ch1 = rec
+            if ch1 >= 0 and c1 + (v1 := get(ch1)) == val:
+                a, b = left[m], right[m]
                 edges.append((a, b) if a < b else (b, a))
-                if c >= 0:
-                    stack += c, vc
+                stack += ch1, v1
                 continue
-        ca, va = cone(lc[m], 0 if p == a else p + 1, a, m)
-        cb, vb = cone(rc[m], 0 if p == b else p + 1, m, b)
-        if va + vb != val:
-            raise SolverInvariantError(
-                f"no branch of cone ({left[x]}, {right[x]}, apex {k - 1 if k else None}) "
-                f"reproduces its solved value {val}"
-            )
-        edges.append((p, m) if p < m else (m, p))
-        if ca >= 0:
-            stack += ca, va
-        if cb >= 0:
-            stack += cb, vb
+            va = get(ch2a) if ch2a >= 0 else 0
+            vb = get(ch2b) if ch2b >= 0 else 0
+            if c2 + va + vb == val:
+                edges.append((p, m) if p < m else (m, p))
+                if ch2a >= 0:
+                    stack += ch2a, va
+                if ch2b >= 0:
+                    stack += ch2b, vb
+                continue
+        elif rec[0] == val:
+            continue
+        raise SolverInvariantError(
+            f"no branch of cone ({left[x]}, {right[x]}, apex {k - 1 if k else None}) "
+            f"reproduces its solved value {val}"
+        )
     out = frozenset(edges)
     if len(out) != n - 3:
         raise SolverInvariantError(f"reconstruction produced {len(out)} edges, wanted {n - 3}")
@@ -539,7 +549,7 @@ def _sweep(
     _layout returns when that lays out no cell: None or the loop's counts.
 
     The cones fall into two nodes per bridge x: A(x), its apexless cone, and
-    Z(x), its row of apexed cones (_cone_shape). _layout lays the visited
+    Z(x), its row of apexed cones (_branches). _layout lays the visited
     cells out per node and links each node to its children's cells;
     _check_layout proves them the cone graph. The values go up by level in
     core.vector_arithmetic's dtype: int64 while the largest value so far
@@ -552,7 +562,7 @@ def _sweep(
     U, V, LC, RC, R = table.arrays
     bridge = U >= 0
 
-    # A(x) in _cone_shape's (p, ab, one) form, with m = ab
+    # A(x)'s branch record (_branches) per bridge: p, m, and whether it has branch 1
     rows = np.arange(n)
     lu = R[U] < R[V]
     leaf = (V - U) % n == 2
@@ -677,81 +687,52 @@ def _search(
 
     Fills ``memo`` (a dict, or a list of n * (n + 1) Nones, read alike: None
     for a cone not stored yet) by packed key x*(n + 1) + k (x the bridge's S
-    node, k = apex + 1 or 0). Each cone is expanded in its (p, ab, one)
-    shape: an apexed cone's is written out, an apexless one's comes from
-    _cone_shape (each is visited at most once, so that is at most one call
-    per bridge).
+    node, k = apex + 1 or 0). Each cone is expanded once, into its branch
+    record (_branches).
     """
-    n, w, fw, n1 = poly.n, poly.weights, f.fn, poly.n + 1
-    left, right, lc, rc = table.left, table.right, table.lc, table.rc
-    shape = _cone_shape(table)
+    n1 = poly.n + 1
+    branch = _branches(poly, table, f)
     lookup = memo.get if type(memo) is dict else memo.__getitem__
     visited = hits = 0
 
-    work: list = _root(poly, lc, rc, f)[1]  # the root's non-base cones; base ones are valued by the walk
+    work: list = _root(poly, table.lc, table.rc, f)[1]  # the root's non-base cones; base ones are valued by the walk
 
-    # Work stack: an int is a cone key to expand; a tuple is a combine
-    # record (key, const2, child2A, child2B[, const1, child1]) for branch 2
-    # and, when present, branch 1, with -1 for an absent branch-2 child.
-    # Base-case apexed children fold into the constants; apexless children
-    # span at least two sides, so they are always pushed.
+    # Work stack: an int is a cone key to expand; a tuple is a branch record
+    # to combine, once its children are valued, into the value of the key
+    # pushed just below it. An apexless cone of one triangle has no children:
+    # its record's value is stored at once.
     while work:
         item = work.pop()
         if type(item) is int:
-            key = item
-            if lookup(key) is not None:
+            if lookup(item) is not None:
                 hits += 1
                 continue
             visited += 1
-            x, k = divmod(key, n1)
-            if k:
-                p, m, one = k - 1, x, True
-            elif (right[x] - left[x]) % n == 2:
-                # one interior node: a single triangle, no expansion
-                memo[key] = fw(w[left[x]], w[x], w[right[x]])
+            x, k = divmod(item, n1)
+            rec = branch(x, k)
+            if len(rec) == 1:
+                memo[item] = rec[0]
                 continue
-            else:
-                p, m, one = shape(x, 0)
-            a, b = left[m], right[m]
-            c2 = 0
-            ch2a = ch2b = -1
-            c = lc[m]
-            if p == a:
-                ch2a = c * n1
-            elif c < 0:
-                c2 = fw(w[a], w[m], w[p])
-            else:
-                ch2a = c * n1 + p + 1
-            c = rc[m]
-            if p == b:
-                ch2b = c * n1
-            elif c < 0:
-                c2 += fw(w[m], w[b], w[p])
-            else:
-                ch2b = c * n1 + p + 1
-            if one:
-                ch1 = m * n1
-                work.append((key, c2, ch2a, ch2b, fw(w[a], w[b], w[p]), ch1))
+            work.append(item)
+            work.append(rec)
+            _, _, _, a, b, _, ch1 = rec
+            if ch1 >= 0:
                 work.append(ch1)
-            else:
-                work.append((key, c2, ch2a, ch2b))
-            if ch2a >= 0:
-                work.append(ch2a)
-            if ch2b >= 0:
-                work.append(ch2b)
+            if a >= 0:
+                work.append(a)
+            if b >= 0:
+                work.append(b)
         else:
-            val = item[1]
-            a = item[2]
+            _, _, val, a, b, c1, ch1 = item
             if a >= 0:
                 val += lookup(a)
-            a = item[3]
-            if a >= 0:
-                val += lookup(a)
-            if len(item) == 6:
-                alt = item[4] + lookup(item[5])
+            if b >= 0:
+                val += lookup(b)
+            if ch1 >= 0:
+                alt = c1 + lookup(ch1)
                 if alt < val:
                     val = alt
-            key = item[0]
+            key = work.pop()
             if lookup(key) is not None:
                 raise SolverInvariantError(f"memo cell {key} written twice")
             memo[key] = val
@@ -785,9 +766,11 @@ def solve_bst(poly: Polygon, f: TriangleWeightFn, backend: str = "hash") -> tupl
     t0 = time.perf_counter_ns()
     if backend not in ("hash", "dense"):
         raise ValueError(f"unknown memo backend {backend!r}")
+    n = poly.n
+    if backend == "dense" and n > DENSE_CAP:
+        raise ValueError(f"dense memo refused for n={n} > {DENSE_CAP}; use the hash backend")
     f.ensure_monotonic()
     check_accumulator_bound(poly, f)
-    n = poly.n
     table = find_bridges_linear(poly)
     total = table.total_cones()
     swept = _sweep(poly, table, f) if backend == "hash" and n >= SWEEP_MIN_N else None
@@ -807,8 +790,6 @@ def solve_bst(poly: Polygon, f: TriangleWeightFn, backend: str = "hash") -> tupl
         if backend == "hash":
             memo = {}
             get = memo.__getitem__
-        elif n > DENSE_CAP:
-            raise ValueError(f"dense memo refused for n={n} > {DENSE_CAP}; use the hash backend")
         else:
             memo = [None] * (n * (n + 1))
 

@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .bridges import BridgeTable, find_bridges_linear
-from .bst_solver import SolveStats, _cone_shape, reconstruct_triangulation
+from .bst_solver import SolveStats, _branches, reconstruct_triangulation
 from .core import (
     Polygon,
     TriangleWeightFn,
@@ -45,9 +45,11 @@ def _sweep(poly: Polygon, table: BridgeTable, f: TriangleWeightFn, engine: str) 
 
     Per S node x the sweep keeps its bridge's apexless value v0[x] and its
     row vz[x] of apexed values by apex rank; get decodes a packed key
-    x*(n + 1) + k into v0[x] (k = 0) or the row entry of apex k - 1.
+    x*(n + 1) + k into v0[x] (k = 0) or the row entry of apex k - 1 (read
+    with ``item``: exact in either dtype), a negative key into 0. v0[x]
+    comes from x's branch record (_branches), its children swept before it.
     """
-    n, w, fw, shape = poly.n, poly.weights, f.fn, _cone_shape(table)
+    n, w, n1, branch = poly.n, poly.weights, poly.n + 1, _branches(poly, table, f)
     left, right, lc, rc = table.left, table.right, table.lc, table.rc
     rank_of = poly.rank_of
     order = sorted((x for x in range(n) if left[x] >= 0), key=lambda x: (right[x] - left[x]) % n)
@@ -63,30 +65,21 @@ def _sweep(poly: Polygon, table: BridgeTable, f: TriangleWeightFn, engine: str) 
     # overflow, or are object arrays from the start (always under "scalar").
     top = 0
 
-    def child(x: int, p: int, a: int, b: int) -> int:
-        """Value of cone (a, b), S node x (-1: one side), apex p unless p is a or b.
-
-        An apexless child spans at least two sides and was swept before its
-        parent, so v0 holds it. Row entries are read with ``item``, which
-        gives the exact value in either dtype.
-        """
-        if p == a or p == b:
-            return v0[x]
-        if x < 0:
-            return fw(w[a], w[b], w[p])
-        return vz[x].item(rank_of[p])
+    def get(key: int) -> int:
+        if key < 0:
+            return 0
+        x, k = divmod(key, n1)
+        return v0[x] if k == 0 else vz[x].item(rank_of[k - 1])
 
     for x in order:
         u, v = left[x], right[x]
-        if (v - u) % n == 2:
-            v0[x] = fw(w[u], w[x], w[v])
+        rec = branch(x, 0)
+        if len(rec) == 1:
+            v0[x] = rec[0]
         else:
-            p, m, one = shape(x, 0)
-            a, b = left[m], right[m]
-            val = child(lc[m], p, a, m) + child(rc[m], p, m, b)
-            if one:
-                val = min(val, fw(w[a], w[b], w[p]) + v0[m])
-            v0[x] = val
+            _, m, c2, ch2a, ch2b, c1, ch1 = rec
+            val = c2 + get(ch2a) + get(ch2b)
+            v0[x] = min(val, c1 + v0[m]) if ch1 >= 0 else val
         k = min(rank_of[u], rank_of[v])
         if k:
             if tmax is not None:
@@ -100,11 +93,6 @@ def _sweep(poly: Polygon, table: BridgeTable, f: TriangleWeightFn, engine: str) 
             c = rc[x]
             row_r = fvec(w[x], w[v], wz) if c < 0 else vz[c][:k]
             vz[x] = np.minimum(with_bridge, row_l + row_r)
-    n1 = n + 1
-
-    def get(key: int) -> int:
-        x, k = divmod(key, n1)
-        return v0[x] if k == 0 else vz[x].item(rank_of[k - 1])
 
     return get
 

@@ -2,10 +2,13 @@
 
 The in-test evaluator below recomputes cone values recursively from the
 public expand_cone/cone_value_base alone, so the packed hot loop in
-solve_bst is always checked against the readable form of the same rules.
+solve_bst is always checked against the readable form of the same rules;
+TestBranchRecord checks the branch record that loop, the keyed walk and
+Yao's sweep read against expand_cone one cone at a time.
 """
 
 import random
+from unittest import mock
 
 import pytest
 
@@ -31,6 +34,8 @@ from polytri import (
     triangulation_weight,
     validate_triangulation,
 )
+from polytri import bst_solver
+from polytri.bst_solver import _branches, _search
 
 ENGINES = {
     "bst-hash": lambda poly, f: solve_bst(poly, f, backend="hash"),
@@ -122,6 +127,68 @@ class TestExpandCone:
                 for cone in enumerate_cones(poly, table):
                     got = eval_cone(poly, table, f, cone)
                     assert got == cone_value_oracle(poly, cone, f), (poly, cone)
+
+
+def record_branches(table, rec):
+    """The branches a _branches record states, as (edges, children, constant), branch 1 first.
+
+    Children are the cones its packed keys name; the constant is branch 1's
+    triangle, or the single triangles branch 2 folds in.
+    """
+    n1, left, right = table.poly.n + 1, table.left, table.right
+
+    def cone(key):
+        x, k = divmod(key, n1)
+        return Cone(left[x], right[x], k - 1 if k else None)
+
+    p, m, c2, ch2a, ch2b, c1, ch1 = rec
+    two = ((min(p, m), max(p, m)),), tuple(cone(c) for c in (ch2a, ch2b) if c >= 0), c2
+    if ch1 < 0:
+        return [two]
+    a, b = left[m], right[m]
+    return [(((min(a, b), max(a, b)),), (cone(ch1),), c1), two]
+
+
+def public_branches(poly, table, f, cone):
+    """expand_cone's branches as a record states them: base children other than an
+    apexless one-triangle cone count into the constant, through cone_value_base."""
+    w = poly.weights
+    out = []
+    for br in expand_cone(cone, table):
+        keyed = tuple(
+            c for c in br.children if not is_base_cone(poly, c) or c.apex is None and poly.arc_len(c.u, c.v) == 2
+        )
+        const = sum(cone_value_base(poly, c, f) for c in br.children if c not in keyed)
+        const += sum(f.fn(w[a], w[b], w[c]) for a, b, c in br.triangles)
+        out.append((br.edges, keyed, const))
+    return out
+
+
+class TestBranchRecord:
+    """_branches, the one record the loop, the keyed walk and Yao's sweep read, against expand_cone."""
+
+    def test_every_cone_matches_expand_cone(self, weight_fns):
+        rng = random.Random(109)
+        shapes = set()
+        for i in range(60):
+            n = rng.randint(3, 40)
+            if i % 2:  # tie-heavy
+                poly = Polygon(tuple(rng.randint(1, 5) for _ in range(n)))
+            else:
+                poly = Polygon(tuple(rng.sample(range(1, 10**4), n)))
+            if n > 3:
+                shapes.add(poly.adjacent(poly.rank[0], poly.rank[1]))
+            table = find_bridges_linear(poly)
+            for f in weight_fns.values():
+                branch = _branches(poly, table, f)
+                for cone in enumerate_cones(poly, table):
+                    x = table.s_node(cone.u, cone.v)
+                    rec = branch(x, 0 if cone.apex is None else cone.apex + 1)
+                    if cone.apex is None and poly.arc_len(cone.u, cone.v) == 2:
+                        assert rec == (cone_value_base(poly, cone, f),), (poly, cone)
+                    elif not is_base_cone(poly, cone):
+                        assert record_branches(table, rec) == public_branches(poly, table, f, cone), (poly, cone)
+        assert shapes == {True, False}
 
 
 class TestExpandRoot:
@@ -226,11 +293,6 @@ class TestSolveBst:
             assert stats.visited_cones == 2 * half_n * half_n - 5 * half_n + 4
             assert stats.total_cones == (2 * half_n - 2) * (2 * half_n - 1) // 2
 
-    def test_dense_cap(self):
-        poly = Polygon(tuple(range(1, 2002)))  # n = 2001, one past the cap
-        with pytest.raises(ValueError, match="dense memo refused"):
-            solve_bst(poly, TriangleWeightFn.additive(), backend="dense")
-
     def test_accumulator_guard(self):
         poly = Polygon((2**63 - 1,) * 5)
         with pytest.raises(OverflowError, match="128-bit"):
@@ -259,6 +321,17 @@ class TestReconstruction:
         with pytest.raises(SolverInvariantError, match="no branch of cone"):
             reconstruct_triangulation(poly, table, weight_fns["add"], lambda key: 10**9)
 
+    def test_one_triangle_cone_must_hold_its_weight(self, weight_fns):
+        # every value one too high: the root's branch 1 (triangle (0, 1, 3), 6) still reproduces
+        # its value, 17, so only the one-triangle cone (1, 3) it leads to, holding 11, not 10, can refuse
+        poly, f = Polygon((1, 2, 5, 3)), weight_fns["add"]
+        table = find_bridges_linear(poly)
+        memo = {}
+        _search(poly, table, f, memo)
+        assert reconstruct_triangulation(poly, table, f, memo.__getitem__) == (16, frozenset({(1, 3)}))
+        with pytest.raises(SolverInvariantError, match=r"cone \(1, 3, apex None\) reproduces its solved value 11"):
+            reconstruct_triangulation(poly, table, f, lambda key: memo[key] + 1)
+
 
 class TestMemoStore:
     """solve_bst chooses the memo from backend: a dict, or a flat list up to DENSE_CAP."""
@@ -270,8 +343,10 @@ class TestMemoStore:
     def test_dense_refuses_large_n(self):
         fa = TriangleWeightFn.additive()
         poly = Polygon(tuple(range(1, 2002)))  # n = 2001, one past the cap
-        with pytest.raises(ValueError, match="dense memo refused"):
-            solve_bst(poly, fa, backend="dense")
+        with mock.patch.object(bst_solver, "find_bridges_linear", wraps=find_bridges_linear) as bridges:
+            with pytest.raises(ValueError, match="dense memo refused"):
+                solve_bst(poly, fa, backend="dense")
+        assert bridges.call_count == 0  # refused before any work
         at_cap = Polygon(poly.weights[:-1])
         opt, _, stats = solve_bst(at_cap, fa, backend="dense")
         assert (opt, stats.backend) == (solve_bst(at_cap, fa)[0], "dense")

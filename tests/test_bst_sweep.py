@@ -39,6 +39,7 @@ from polytri import (
 )
 from polytri import bst_solver
 from polytri.bst_solver import SWEEP_MIN_N, _root, _search, _sweep
+from polytri.yao_solver import _sweep as yao_rows
 
 WEIGHT_FNS = [FNS["mult"], FNS["add"], FNS["custom"]]
 # fn alone, so the sweep runs it in object dtype: exact values, Fractions too
@@ -394,6 +395,31 @@ def test_walk_refuses_a_corrupt_cell(poly):
             raised += 1
         values[i] -= 1
     # at least the cells that give an edge, all but the root's
+    assert raised >= poly.n - 3 - len(_root(poly, table.lc, table.rc, f)[0])
+
+
+@pytest.mark.parametrize("store", ["loop", "rows"])
+@pytest.mark.parametrize("poly", [gen_random(60, 5), gen_staircase(8)], ids=["random", "staircase"])
+def test_keyed_walk_refuses_a_corrupt_value(poly, store):
+    # a value read whose cone's record does not give it raises; any other read leaves the walk as it was
+    f = FNS["add"]
+    table = find_bridges_linear(poly)
+    if store == "loop":
+        memo = {}
+        _search(poly, table, f, memo)
+        get = memo.__getitem__
+    else:
+        get = yao_rows(poly, table, f, "vector")
+    read = []
+    clean = reconstruct_triangulation(poly, table, f, lambda key: read.append(key) or get(key))
+    raised = 0
+    for bad in dict.fromkeys(read):
+        try:
+            assert reconstruct_triangulation(poly, table, f, lambda key: get(key) + (key == bad)) == clean
+        except SolverInvariantError as exc:
+            assert "reproduces its solved value" in str(exc)
+            raised += 1
+    # at least the cones that give an edge, all but the root's
     assert raised >= poly.n - 3 - len(_root(poly, table.lc, table.rc, f)[0])
 
 
