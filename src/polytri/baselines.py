@@ -1,8 +1,8 @@
 """Ground truth: the classic cubic interval DP and a brute-force oracle.
 
 The DP fills one diagonal of arcs at a time from slices of its cost tables
-(kept by arc start and by arc end) and a window view of the weights; its two
-engines differ only in arithmetic (``core.vector_arithmetic``).
+(kept by arc start and by arc end) and a window view of the weights; the
+weight function alone picks its arithmetic (``core.vector_arithmetic``).
 """
 
 from __future__ import annotations
@@ -21,9 +21,7 @@ from .core import (
 )
 
 
-def solve_dp_cubic(
-    poly: Polygon, f: TriangleWeightFn, engine: str = "auto"
-) -> tuple[int, Triangulation]:
+def solve_dp_cubic(poly: Polygon, f: TriangleWeightFn) -> tuple[int, Triangulation]:
     """Minimum triangulation weight by interval DP over arcs (cubic time).
 
     cost(i, j) is the optimum for the sub-polygon on nodes i..j closed by
@@ -31,23 +29,16 @@ def solve_dp_cubic(
     expression over slices: arc (i, i + d) split at i + k costs S[i, k] +
     E[i + d, d - k] + f(W[i], H[i, k], W[i + d]), where S holds costs by
     start, E by end and H[i, k] = W[i + k] is a view; ties go to the
-    smallest k, so reconstruction is deterministic. ``engine`` is
-    "python", "numpy", or "auto". "numpy" needs ``f.vec`` and runs it in
-    int64 while the costs stored so far prove the next diagonal cannot
-    overflow, and in object dtype (exact Python ints) from the first
-    diagonal where they do not. "python" runs ``fn`` element-wise in object
-    dtype from the start, so it keeps whatever exact values ``fn`` returns.
-    "auto" takes "numpy" whenever ``f.vec`` exists.
+    smallest k, so reconstruction is deterministic. With ``f.vec`` the DP
+    runs it in int64 while the costs stored so far prove the next diagonal
+    cannot overflow, and in object dtype (exact Python ints) from the first
+    diagonal where they do not. Without it, the DP runs ``fn`` element-wise
+    in object dtype from the start, so it keeps whatever exact values ``fn``
+    returns.
     """
     f.ensure_monotonic()
     check_accumulator_bound(poly, f)
-    if engine == "auto":
-        engine = "numpy" if f.vec is not None else "python"
-    if engine not in ("python", "numpy"):
-        raise ValueError(f"unknown engine {engine!r}")
-    if engine == "numpy" and f.vec is None:
-        raise OverflowError("numpy engine refused: weight function has no vectorized form")
-    fvec, dtype, tmax = vector_arithmetic(poly, f, engine == "numpy")
+    fvec, dtype, tmax = vector_arithmetic(poly, f)
     n = poly.n
     W = np.array(poly.weights, dtype)
     H = sliding_window_view(np.concatenate((W, W)), n)  # H[i, k] = W[i + k]

@@ -594,7 +594,7 @@ def _sweep(
     size = np.diff(ends)
 
     # per-bridge weights and constants: A(x)'s triangle and base children
-    fvec, dtype, tmax = vector_arithmetic(poly, f, f.vec is not None)
+    fvec, dtype, tmax = vector_arithmetic(poly, f)
     W = np.array(w, dtype)
     WU, WV = W[U], W[V]
     C1 = np.where(one, fvec(W[A], W[B], W[P]), 0)
@@ -783,7 +783,7 @@ def solve_bst(poly: Polygon, f: TriangleWeightFn, backend: str = "hash") -> tupl
 
         engine = "rows"
         visited, hits = swept
-        get = yao_rows(poly, table, f, "scalar" if f.vec is None else "vector")
+        get = yao_rows(poly, table, f)
         opt, edges = reconstruct_triangulation(poly, table, f, get)
     else:
         engine = "loop"

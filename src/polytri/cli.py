@@ -14,7 +14,7 @@ import sys
 import time
 
 from .baselines import solve_dp_cubic
-from .bridges import find_bridges_linear, find_bridges_walk
+from .bridges import find_bridges_linear
 from .bst_solver import solve_bst
 from .core import TriangleWeightFn, format_polygon, parse_polygon
 from .generators import gen_heuristic_worst, gen_random, gen_staircase
@@ -107,12 +107,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         stats_pairs = [
             ("visited_cones", st.visited_cones),
             ("total_cones", st.total_cones),
-            ("memo", st.backend),
             ("engine", st.engine),
             ("elapsed_ns", st.elapsed_ns),
         ]
     else:
-        opt, tri, st = solve_bst(poly, f, backend=args.memo)
+        opt, tri, st = solve_bst(poly, f)
         stats_pairs = [
             ("visited_cones", st.visited_cones),
             ("memo_hits", st.memo_hits),
@@ -164,8 +163,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_bridges(args: argparse.Namespace) -> int:
     poly = parse_polygon(_read_text(args.input))
-    finder = find_bridges_walk if args.finder == "walk" else find_bridges_linear
-    table = finder(poly)
+    table = find_bridges_linear(poly)
     for u, v in table.bridges:
         print(f"{u} {v} {table.s_node(u, v)}")
     return 0
@@ -184,7 +182,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--mode", choices=("polygon", "chain"), default="polygon")
     p_solve.add_argument("--algo", choices=("dp3", "yao", "bst", "heuristic"), default="bst")
     p_solve.add_argument("--weight", choices=("mult", "add", "custom"), default="mult")
-    p_solve.add_argument("--memo", choices=("hash", "dense"), default="hash")
     p_solve.add_argument("--emit-edges", action="store_true", help="print the edge list")
     p_solve.add_argument(
         "--exact",
@@ -214,8 +211,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bridges = sub.add_parser("bridges", help="dump bridge table as 'u v S(u,v)' lines")
     p_bridges.add_argument("--input", required=True)
-    finders = "walk: one clockwise walk per node (quadratic); linear: the numpy pass, else the stack pass"
-    p_bridges.add_argument("--finder", choices=("walk", "linear"), default="linear", help=finders)
     p_bridges.set_defaults(func=_cmd_bridges)
     return parser
 

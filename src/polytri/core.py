@@ -81,21 +81,19 @@ def int64_safe(poly: "Polygon", f: "TriangleWeightFn") -> bool:
     return (poly.n - 2) * f.fn(wmax, wmax, wmax) < 2**62
 
 
-def vector_arithmetic(
-    poly: "Polygon", f: "TriangleWeightFn", use_vec: bool
-) -> tuple[Callable, type, int | None]:
+def vector_arithmetic(poly: "Polygon", f: "TriangleWeightFn") -> tuple[Callable, type, int | None]:
     """The weight function, dtype and int64 watch T that a numpy engine runs with.
 
-    dp3, Yao's sweep and the BST sweep all take them from here. Without
-    ``use_vec``: ``np.frompyfunc(fn)`` in object dtype, so fn's exact values
-    stay as they are. With it, ``vec``: in int64 with nothing to watch (T
-    None) when ``int64_safe`` holds; in object dtype from the start when
-    2 * T >= 2**63; else in int64, where T = f(wmax, wmax, wmax) bounds every
-    triangle because f is monotone, and the engine turns its arrays to object
-    dtype from the first step whose sums T and its stored values cannot keep
-    below 2**63.
+    dp3, Yao's sweep and the BST sweep all take them from here, so ``f.vec``
+    alone picks their arithmetic. Without ``vec``: ``np.frompyfunc(fn)`` in
+    object dtype, so fn's exact values stay as they are. With it, ``vec``:
+    in int64 with nothing to watch (T None) when ``int64_safe`` holds; in
+    object dtype from the start when 2 * T >= 2**63; else in int64, where
+    T = f(wmax, wmax, wmax) bounds every triangle because f is monotone, and
+    the engine turns its arrays to object dtype from the first step whose
+    sums T and its stored values cannot keep below 2**63.
     """
-    if not use_vec:
+    if f.vec is None:
         return np.frompyfunc(f.fn, 3, 1), object, None
     if int64_safe(poly, f):
         return f.vec, np.int64, None

@@ -10,13 +10,13 @@ natural cross-check for the lazier search.
 The sweep keeps, per bridge, its apexless value and a row of its apexed
 values, computed in one numpy expression over apex weights sorted by rank
 (prefix slices of that array are exactly the apex sets of child bridges).
-The two engines run this same sweep and differ only in dtype. "vector"
-evaluates the weight function's ``vec`` in int64 while the values computed
-so far prove the next bridge's sums fit, and in object dtype (exact Python
-ints in the same expressions) from the first bridge where they may not.
-"scalar" runs ``fn`` element-wise in object dtype from the start, so it
-needs no ``vec`` and keeps whatever exact values ``fn`` returns. "auto"
-takes "vector" whenever the weight function has a vectorized form.
+The weight function picks the arithmetic (``core.vector_arithmetic``), not
+the code path. With a ``vec`` (engine "vector") the sweep evaluates it in
+int64 while the values computed so far prove the next bridge's sums fit,
+and in object dtype (exact Python ints in the same expressions) from the
+first bridge where they may not. Without one (engine "scalar") it runs
+``fn`` element-wise in object dtype from the start, so it keeps whatever
+exact values ``fn`` returns.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .core import (
 __all__ = ["solve_yao"]
 
 
-def _sweep(poly: Polygon, table: BridgeTable, f: TriangleWeightFn, engine: str) -> Callable[[int], int]:
+def _sweep(poly: Polygon, table: BridgeTable, f: TriangleWeightFn) -> Callable[[int], int]:
     """Every cone's value, as get(key) for reconstruct_triangulation.
 
     Per S node x the sweep keeps its bridge's apexless value v0[x] and its
@@ -53,7 +53,7 @@ def _sweep(poly: Polygon, table: BridgeTable, f: TriangleWeightFn, engine: str) 
     left, right, lc, rc = table.left, table.right, table.lc, table.rc
     rank_of = poly.rank_of
     order = sorted((x for x in range(n) if left[x] >= 0), key=lambda x: (right[x] - left[x]) % n)
-    fvec, dtype, tmax = vector_arithmetic(poly, f, engine == "vector")
+    fvec, dtype, tmax = vector_arithmetic(poly, f)
     WR = np.array([w[r] for r in poly.rank], dtype)  # weights in rank order
     v0: list[int] = [0] * n
     vz: list[np.ndarray | None] = [None] * n
@@ -62,7 +62,7 @@ def _sweep(poly: Polygon, table: BridgeTable, f: TriangleWeightFn, engine: str) 
     # first bridge where that reaches 2**63, apex weights, and so all later
     # rows, are object arrays of exact ints; earlier int64 rows mix in exactly.
     # tmax None means nothing is left to watch: the rows are int64 and cannot
-    # overflow, or are object arrays from the start (always under "scalar").
+    # overflow, or are object arrays from the start (always without vec).
     top = 0
 
     def get(key: int) -> int:
@@ -97,31 +97,21 @@ def _sweep(poly: Polygon, table: BridgeTable, f: TriangleWeightFn, engine: str) 
     return get
 
 
-def solve_yao(
-    poly: Polygon, f: TriangleWeightFn, engine: str = "auto"
-) -> tuple[int, Triangulation, SolveStats]:
+def solve_yao(poly: Polygon, f: TriangleWeightFn) -> tuple[int, Triangulation, SolveStats]:
     """Optimal triangulation by the quadratic bottom-up cone sweep.
 
     Returns (optimal weight, a witness triangulation, stats); visited_cones
-    equals total_cones since the sweep evaluates the whole census. engine
-    is "scalar", "vector", or "auto": both run one sweep, "vector" over
-    ``vec`` in int64 (object dtype past the int64 range) and "scalar" over
-    ``fn`` in object dtype, so both return the same exact values and edges.
-    The vector engine refuses only a weight function without ``vec``, and
-    "auto" takes it whenever ``vec`` exists.
+    equals total_cones since the sweep evaluates the whole census. The sweep
+    runs ``vec`` in int64 (object dtype past the int64 range) when the weight
+    function has one, stats.engine "vector", and ``fn`` in object dtype when
+    it has none, "scalar"; both return the same exact values and edges.
     """
     t0 = time.perf_counter_ns()
     f.ensure_monotonic()
     check_accumulator_bound(poly, f)
     table = find_bridges_linear(poly)
     total = table.total_cones()
-    if engine == "auto":
-        engine = "vector" if f.vec is not None else "scalar"
-    if engine not in ("scalar", "vector"):
-        raise ValueError(f"unknown engine {engine!r}")
-    if engine == "vector" and f.vec is None:
-        raise OverflowError("vector engine refused: weight function has no vectorized form")
-
-    opt, edges = reconstruct_triangulation(poly, table, f, _sweep(poly, table, f, engine))
+    engine = "vector" if f.vec is not None else "scalar"
+    opt, edges = reconstruct_triangulation(poly, table, f, _sweep(poly, table, f))
     stats = SolveStats(total, 0, total, time.perf_counter_ns() - t0, engine, engine)
     return opt, Triangulation(edges, opt), stats

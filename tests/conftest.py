@@ -7,6 +7,7 @@ these, never against the implementation under test.
 
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
@@ -33,6 +34,12 @@ def weight_fns() -> dict[str, TriangleWeightFn]:
         "add": TriangleWeightFn.additive(),
         "custom": TriangleWeightFn.product_plus_sum(),
     }
+
+
+@functools.cache  # one twin per f, so its spot check runs once
+def fn_only(f: TriangleWeightFn) -> TriangleWeightFn:
+    """f without its vectorized form, so the numpy engines run fn in object dtype."""
+    return TriangleWeightFn(f.kind, f.fn)
 
 
 def chords_cross(e1: tuple[int, int], e2: tuple[int, int]) -> bool:
@@ -80,7 +87,7 @@ def cone_value_oracle(poly: Polygon, cone: Cone, f: TriangleWeightFn) -> int:
     if len(nodes) < 3:
         return 0
     sub = Polygon(tuple(poly.weights[i] for i in nodes))
-    return solve_dp_cubic(sub, f, engine="python")[0]
+    return solve_dp_cubic(sub, fn_only(f))[0]
 
 
 def witness_by_reexpansion(poly: Polygon, f: TriangleWeightFn) -> tuple[int, frozenset]:

@@ -18,8 +18,10 @@ edges, visited_cones, memo_hits, total_cones, backend and engine:
   patched to 0;
 - rows: solve_bst with SWEEP_MIN_N and SWEEP_MIN_WIDTH patched to 0 and
   ROWS_FACTOR high, so Yao's rows run wherever the layout counts a cell;
-- yao-scalar, yao-vector: solve_yao with that engine;
-- dp3-python, dp3-numpy: solve_dp_cubic with that engine, on the polygons
+- yao-vector: solve_yao as called, so it runs ``vec``;
+- yao-scalar: solve_yao on the weight function's fn_only twin (conftest),
+  so it runs ``fn`` in object dtype;
+- dp3-numpy, dp3-python: solve_dp_cubic the same two ways, on the polygons
   with n <= 300 only, hashing the optimum and the sorted edges.
 
 The part "bridges" hashes both finders' tables as sorted (u, v, S) triples.
@@ -35,6 +37,7 @@ import random
 import sys
 from unittest import mock
 
+from conftest import fn_only
 from polytri import (
     Polygon,
     TriangleWeightFn,
@@ -99,10 +102,10 @@ PARTS = {
     "dense": lambda poly, f: solve_bst(poly, f, backend="dense"),
     "sweep": forced(SWEEP_MIN_N=0, SWEEP_MIN_WIDTH=0, ROWS_FACTOR=0),
     "rows": forced(SWEEP_MIN_N=0, SWEEP_MIN_WIDTH=0, ROWS_FACTOR=10**9),
-    "yao-scalar": lambda poly, f: solve_yao(poly, f, engine="scalar"),
-    "yao-vector": lambda poly, f: solve_yao(poly, f, engine="vector"),
-    "dp3-python": lambda poly, f: solve_dp_cubic(poly, f, engine="python"),
-    "dp3-numpy": lambda poly, f: solve_dp_cubic(poly, f, engine="numpy"),
+    "yao-scalar": lambda poly, f: solve_yao(poly, fn_only(f)),
+    "yao-vector": solve_yao,
+    "dp3-python": lambda poly, f: solve_dp_cubic(poly, fn_only(f)),
+    "dp3-numpy": solve_dp_cubic,
 }
 
 

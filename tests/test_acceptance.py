@@ -14,7 +14,7 @@ import statistics
 import time
 from fractions import Fraction
 
-from conftest import bridges_by_definition, chain_cost_bruteforce, connected_in
+from conftest import bridges_by_definition, chain_cost_bruteforce, connected_in, fn_only
 from polytri import (
     Polygon,
     TriangleWeightFn,
@@ -251,12 +251,14 @@ def test_criterion_5_growth_and_ordering():
     yao_ok = all(0.5 <= frac <= 2.0 for frac in yao_frac.values())
 
     poly = gen_random(1000, child_seed(525, 1000, 0))
+    fa_scalar = fn_only(fa)  # yao-scalar: the sweep over fn in object dtype
+    fa_scalar.ensure_monotonic()  # before the timed solves; fa comes checked
     bst_t, yao_t, dp3_t = [], [], []
     for _ in range(3):
         bst_t.append(solve_bst(poly, fa, backend="hash")[2].elapsed_ns)
-        yao_t.append(solve_yao(poly, fa, engine="scalar")[2].elapsed_ns)
+        yao_t.append(solve_yao(poly, fa_scalar)[2].elapsed_ns)
         t0 = time.perf_counter_ns()
-        solve_dp_cubic(poly, fa, engine="numpy")
+        solve_dp_cubic(poly, fa)
         dp3_t.append(time.perf_counter_ns() - t0)
     b, y, d = (statistics.median(t) for t in (bst_t, yao_t, dp3_t))
 

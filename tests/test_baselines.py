@@ -17,10 +17,11 @@ from polytri import (
     triangulation_weight,
     validate_triangulation,
 )
+from conftest import fn_only
 from test_exact_engines import MIX_2_62, vec_dtypes
 
 
-# exact values no int64 table can hold; no vec, so every engine runs fn
+# exact values no int64 table can hold; no vec, so the DP runs fn
 FRACTION_FN = TriangleWeightFn.custom(lambda x, y, z: Fraction(x * y * z + x + y + z, 7))
 
 
@@ -89,8 +90,8 @@ class TestBruteforce:
 class TestCubicDP:
     def test_triangle(self, weight_fns):
         poly = Polygon((2, 3, 4))
-        for engine in ("auto", "python", "numpy"):
-            opt, tri = solve_dp_cubic(poly, weight_fns["mult"], engine=engine)
+        for f in (weight_fns["mult"], fn_only(weight_fns["mult"])):
+            opt, tri = solve_dp_cubic(poly, f)
             assert opt == tri.weight == 24 and tri.edges == frozenset()
 
     def test_matches_bruteforce(self, weight_fns):
@@ -100,7 +101,7 @@ class TestCubicDP:
             poly = Polygon(tuple(rng.randint(1, 30) for _ in range(n)))
             for f in (*weight_fns.values(), FRACTION_FN):
                 want, winners = solve_bruteforce(poly, f)
-                got, tri = solve_dp_cubic(poly, f, engine="python")
+                got, tri = solve_dp_cubic(poly, fn_only(f))
                 assert got == want
                 assert tri.edges in winners
                 assert triangulation_weight(poly, tri, f) == want
@@ -112,8 +113,8 @@ class TestCubicDP:
         for n, hi in rows:
             poly = Polygon(tuple(rng.randint(1, hi) for _ in range(n)))
             for f in weight_fns.values():
-                vp, tp = solve_dp_cubic(poly, f, engine="python")
-                vn, tn = solve_dp_cubic(poly, f, engine="numpy")
+                vp, tp = solve_dp_cubic(poly, fn_only(f))
+                vn, tn = solve_dp_cubic(poly, f)
                 assert vp == vn
                 assert tn.edges == tp.edges  # same smallest-split tie rule
                 assert validate_triangulation(poly, tn).ok
@@ -152,12 +153,12 @@ class TestCubicDP:
         for poly in polys:
             for name, f in fns.items():
                 want = triple_loop(poly, f.fn)
-                for engine in ("python", "numpy") if f.vec else ("python",):
-                    opt, tri = solve_dp_cubic(poly, f, engine=engine)
-                    assert (opt, tri.edges) == want, (poly.n, name, engine)
+                for g in (fn_only(f), f) if f.vec else (f,):
+                    opt, tri = solve_dp_cubic(poly, g)
+                    assert (opt, tri.edges) == want, (poly.n, name, g.vec is not None)
         # under mult, MIX_2_62 switches to object dtype mid-run (pinned in
         # test_switch_to_object_mid_run) and the last polygon starts in it
-        on_last = vec_dtypes(weight_fns["mult"], lambda g: solve_dp_cubic(polys[-1], g, engine="numpy"))
+        on_last = vec_dtypes(weight_fns["mult"], lambda g: solve_dp_cubic(polys[-1], g))
         assert on_last == [("object", 19)]
 
     def test_rotation_invariance(self, weight_fns):
@@ -187,17 +188,11 @@ class TestCubicDP:
         fm = TriangleWeightFn.multiplicative()
         poly = Polygon((2**22,) * 70)
         # every triangle weighs 2**66, so the numpy engine runs in object dtype
-        vp, tp = solve_dp_cubic(poly, fm, engine="python")
-        vn, tn = solve_dp_cubic(poly, fm, engine="numpy")
+        vp, tp = solve_dp_cubic(poly, fn_only(fm))
+        vn, tn = solve_dp_cubic(poly, fm)
         assert vn == vp == 68 * 2**66
         assert tn.edges == tp.edges
-        opt, tri = solve_dp_cubic(poly, fm)
-        assert opt == 68 * 2**66
-        assert validate_triangulation(poly, tri).ok
-        # only a weight function without a vectorized form is refused
-        f_plain = TriangleWeightFn.custom(lambda x, y, z: x * y * z)
-        with pytest.raises(OverflowError, match="refused"):
-            solve_dp_cubic(poly, f_plain, engine="numpy")
+        assert validate_triangulation(poly, tn).ok
 
     @pytest.mark.parametrize(
         "n, w, engine",
@@ -209,8 +204,8 @@ class TestCubicDP:
         ],
     )
     def test_auto_engine_choice(self, n, w, engine):
-        # auto runs vec, once per diagonal, whenever it exists, whatever n,
-        # and gives the answer of the engine named
+        # the DP runs vec, once per diagonal, whenever it exists, whatever n,
+        # and gives the answer of the engine named: "python" is f's fn_only twin
         dtypes = []
 
         def vec(x, y, z):
@@ -224,25 +219,11 @@ class TestCubicDP:
         opt, tri = solve_dp_cubic(poly, f)
         assert len(dtypes) == n - 2
         assert dtypes[0] == (np.int64 if w == 10**6 else object)
-        named, tn = solve_dp_cubic(poly, f, engine=engine)
+        named, tn = solve_dp_cubic(poly, fn_only(f) if engine == "python" else f)
         assert (opt, tri.edges) == (named, tn.edges)
-        # without vec, auto runs fn in object dtype: its Fractions come back exact
+        # without vec, the DP runs fn in object dtype: its Fractions come back exact
         frac, tf = solve_dp_cubic(poly, TriangleWeightFn.custom(lambda x, y, z: Fraction(x * y * z, 7)))
         assert frac == Fraction(opt, 7) and tf.edges == tri.edges
-
-    def test_rejects_unknown_engine(self):
-        with pytest.raises(ValueError):
-            solve_dp_cubic(Polygon((1, 2, 3, 4)), TriangleWeightFn.additive(), engine="gpu")
-
-    @pytest.mark.parametrize("n", [3, 4])
-    def test_refusals_hold_for_a_triangle(self, n):
-        # the engine is checked before any solve, whatever n
-        poly = Polygon((4, 5, 6, 7)[:n])
-        with pytest.raises(ValueError, match="unknown engine"):
-            solve_dp_cubic(poly, TriangleWeightFn.additive(), engine="gpu")
-        f_plain = TriangleWeightFn.custom(lambda x, y, z: x + y + z)
-        with pytest.raises(OverflowError, match="refused"):
-            solve_dp_cubic(poly, f_plain, engine="numpy")
 
     def test_accumulator_guard(self):
         fm = TriangleWeightFn.multiplicative()

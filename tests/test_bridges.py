@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import bridges_by_definition, chords_cross
@@ -70,6 +70,7 @@ class TestFinders:
             assert s_nodes(walk) == s_by_definition(poly)
 
     @given(st.lists(st.integers(min_value=1, max_value=12), min_size=3, max_size=24))
+    @example([2, 1, 2, 1, 3, 1, 2, 2, 3, 1, 1, 2])  # test_cli's tie-heavy bridge golden
     @settings(max_examples=150, deadline=None)
     def test_finders_agree_on_tie_heavy_weights(self, weights):
         poly = Polygon(tuple(weights))

@@ -12,7 +12,7 @@ from unittest import mock
 
 import pytest
 
-from conftest import cone_value_oracle, random_polygon, witness_by_reexpansion
+from conftest import cone_value_oracle, fn_only, random_polygon, witness_by_reexpansion
 from polytri import (
     Branch,
     Cone,
@@ -40,8 +40,8 @@ from polytri.bst_solver import _branches, _search
 ENGINES = {
     "bst-hash": lambda poly, f: solve_bst(poly, f, backend="hash"),
     "bst-dense": lambda poly, f: solve_bst(poly, f, backend="dense"),
-    "yao-scalar": lambda poly, f: solve_yao(poly, f, engine="scalar"),
-    "yao-vector": lambda poly, f: solve_yao(poly, f, engine="vector"),
+    "yao-scalar": lambda poly, f: solve_yao(poly, fn_only(f)),
+    "yao-vector": solve_yao,
 }
 
 
@@ -230,7 +230,7 @@ class TestExpandRoot:
             poly = random_polygon(rng, n_lo=4, n_hi=11)
             table = find_bridges_linear(poly)
             for f in weight_fns.values():
-                want = solve_dp_cubic(poly, f, engine="python")[0]
+                want = solve_dp_cubic(poly, fn_only(f))[0]
                 vals = []
                 for br in expand_root(poly):
                     val = sum(f.fn(*(poly.weights[i] for i in t)) for t in br.triangles)

@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fn_only
 from test_exact_engines import FNS, MIX_2_62, heavy_light, random_piece_sums, vec_dtypes
 from polytri import (
     Polygon,
@@ -184,7 +185,7 @@ def test_past_int64(poly, fname):
         assert vec_dtypes(f, lambda g: sweep(poly, table, g)[4]()) == [("int64", 10), ("object", 30)]
     loop, swept = solve_both(poly, f)
     assert outcome(swept) == outcome(forced("rows", poly, f)) == outcome(loop)
-    _, ts, _ = solve_yao(poly, f, engine="scalar")
+    _, ts, _ = solve_yao(poly, fn_only(f))
     assert (swept[0], swept[1].edges) == (ts.weight, ts.edges)
 
 
@@ -409,7 +410,7 @@ def test_keyed_walk_refuses_a_corrupt_value(poly, store):
         _search(poly, table, f, memo)
         get = memo.__getitem__
     else:
-        get = yao_rows(poly, table, f, "vector")
+        get = yao_rows(poly, table, f)
     read = []
     clean = reconstruct_triangulation(poly, table, f, lambda key: read.append(key) or get(key))
     raised = 0

@@ -51,23 +51,19 @@ class TestSolve:
         assert pairs["memo"] == "hash"
         assert {"visited_cones", "memo_hits", "total_cones", "elapsed_ns"} <= set(pairs)
 
-    def test_additive_and_dense_memo(self, capsys, quad_file):
+    def test_additive_golden(self, capsys, quad_file):
         code, out, _ = run_cli(
-            capsys, "solve", "--input", quad_file, "--weight", "add",
-            "--memo", "dense", "--emit-edges",
+            capsys, "solve", "--input", quad_file, "--weight", "add", "--emit-edges",
         )
         pairs = kv(out)
         assert code == 0
-        assert (pairs["optimal_weight"], pairs["edges"], pairs["memo"]) == ("16", "1-3", "dense")
+        assert (pairs["optimal_weight"], pairs["edges"], pairs["memo"]) == ("16", "1-3", "hash")
 
     def test_engine_line(self, capsys, quad_file, monkeypatch):
-        engines = {}
-        for algo, memo in (("bst", "hash"), ("bst", "dense"), ("yao", "hash")):
-            argv = ("solve", "--input", quad_file, "--algo", algo, "--memo", memo)
-            engines[algo, memo] = kv(run_cli(capsys, *argv)[1])["engine"]
-        assert engines == {
-            ("bst", "hash"): "loop", ("bst", "dense"): "loop", ("yao", "hash"): "vector"
-        }
+        bst = kv(run_cli(capsys, "solve", "--input", quad_file)[1])
+        yao = kv(run_cli(capsys, "solve", "--input", quad_file, "--algo", "yao")[1])
+        assert (bst["engine"], bst["memo"]) == ("loop", "hash")
+        assert yao["engine"] == "vector" and "memo" not in yao  # Yao keeps no memo
         monkeypatch.setattr(bst_solver, "SWEEP_MIN_N", 4)
         monkeypatch.setattr(bst_solver, "SWEEP_MIN_WIDTH", 0)
         _, out, _ = run_cli(capsys, "solve", "--input", quad_file, "--emit-edges")
@@ -164,21 +160,16 @@ class TestGen:
 
 
 class TestBridges:
-    @pytest.mark.parametrize(
-        "finder_args", [["--finder", "walk"], ["--finder", "linear"], []],
-        ids=["walk", "linear", "default"],
-    )
-    def test_quad_golden(self, capsys, quad_file, finder_args):
-        code, out, _ = run_cli(capsys, "bridges", "--input", quad_file, *finder_args)
+    def test_quad_golden(self, capsys, quad_file):
+        code, out, _ = run_cli(capsys, "bridges", "--input", quad_file)
         assert code == 0
         assert out == "1 3 2\n1 0 3\n"
 
-    @pytest.mark.parametrize("finder", ["walk", "linear"])
-    def test_tie_heavy_golden(self, capsys, tmp_path, finder):
-        """Equal weights go by node index; both finders print n - 2 lines in one order."""
+    def test_tie_heavy_golden(self, capsys, tmp_path):
+        """Equal weights go by node index; n - 2 lines in canonical order."""
         path = tmp_path / "ties.txt"
         path.write_text("12\n2 1 2 1 3 1 2 2 3 1 1 2\n")
-        code, out, _ = run_cli(capsys, "bridges", "--input", str(path), "--finder", finder)
+        code, out, _ = run_cli(capsys, "bridges", "--input", str(path))
         assert code == 0
         assert out == (
             "1 3 2\n3 5 4\n3 1 5\n5 9 6\n5 1 9\n6 9 7\n7 9 8\n9 1 10\n10 0 11\n10 1 0\n"

@@ -1,12 +1,11 @@
 """The vector engines on inputs that int64_safe rejects.
 
-dp3's numpy engine and Yao's vector engine compute in int64 while the
-values computed so far prove the next step cannot overflow, and in object
-dtype (exact Python ints) from the first step where that proof fails. Each
-case here must give the value and the edge set of the reference engines,
-which use Python ints throughout: dp3 "python" and Yao "scalar", which run
-the same DP and sweep as "numpy" and "vector" with ``fn`` applied
-element-wise in object dtype.
+With a ``vec``, dp3 and Yao compute in int64 while the values computed so
+far prove the next step cannot overflow, and in object dtype (exact Python
+ints) from the first step where that proof fails. Each case here must give
+the value and the edge set of the reference engines, which use Python ints
+throughout: the same DP and sweep run on the weight function's fn_only
+twin, with ``fn`` applied element-wise in object dtype.
 """
 
 import random
@@ -17,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fn_only
 from polytri import (
     Polygon,
     TriangleWeightFn,
@@ -67,11 +67,11 @@ FNS = {
 
 
 def assert_engines_agree(poly: Polygon, f: TriangleWeightFn) -> int:
-    vp, tp = solve_dp_cubic(poly, f, engine="python")
-    vn, tn = solve_dp_cubic(poly, f, engine="numpy")
+    vp, tp = solve_dp_cubic(poly, fn_only(f))
+    vn, tn = solve_dp_cubic(poly, f)
     assert (vn, tn.edges) == (vp, tp.edges)
-    vs, ts, _ = solve_yao(poly, f, engine="scalar")
-    vv, tv, _ = solve_yao(poly, f, engine="vector")
+    vs, ts, _ = solve_yao(poly, fn_only(f))
+    vv, tv, _ = solve_yao(poly, f)
     assert (vv, tv.edges) == (vs, ts.edges)
     assert vs == vp
     return vp
@@ -136,8 +136,8 @@ def test_switch_to_object_mid_run(poly, fname):
     assert f.fn(wmax, wmax, wmax) < INT64_LIMIT
     assert assert_engines_agree(poly, f) > 0
     if poly is MIX_2_62:
-        assert vec_dtypes(f, lambda g: solve_dp_cubic(poly, g, engine="numpy")) == [("int64", 1), ("object", 57)]
-        assert vec_dtypes(f, lambda g: solve_yao(poly, g, engine="vector")) == [("int64", 6), ("object", 106)]
+        assert vec_dtypes(f, lambda g: solve_dp_cubic(poly, g)) == [("int64", 1), ("object", 57)]
+        assert vec_dtypes(f, lambda g: solve_yao(poly, g)) == [("int64", 6), ("object", 106)]
 
 
 @pytest.mark.parametrize("fname", ["mult", "custom"])
@@ -176,7 +176,7 @@ def test_engines_equal_reference_engines(weights, f):
     poly = Polygon(tuple(weights))
     f.ensure_monotonic()
     assert_engines_agree(poly, f)
-    _, ts, _ = solve_yao(poly, f, engine="scalar")
+    _, ts, _ = solve_yao(poly, fn_only(f))
     oh, th, sh = solve_bst(poly, f, backend="hash")
     od, td, sd = solve_bst(poly, f, backend="dense")
     assert (oh, th.edges) == (od, td.edges) == (ts.weight, ts.edges)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_polygon
+from conftest import fn_only, random_polygon
 from polytri import (
     Polygon,
     TriangleWeightFn,
@@ -26,7 +26,7 @@ class TestSolveYao:
         assert (opt, tri.edges) == (25, frozenset({(0, 2)}))
         assert stats.visited_cones == stats.total_cones == 3
         assert stats.memo_hits == 0
-        assert stats.backend == "vector"  # auto takes vector whenever it can, at any n
+        assert stats.backend == "vector"  # vec present: the vector engine, at any n
         opt, tri, _ = solve_yao(poly, weight_fns["add"])
         assert (opt, tri.edges) == (16, frozenset({(1, 3)}))
 
@@ -37,13 +37,14 @@ class TestSolveYao:
 
     @pytest.mark.parametrize("engine", ["scalar", "vector"])
     def test_matches_cubic_dp(self, engine, weight_fns):
+        # the scalar engine runs on each weight function's fn_only twin
         rng = random.Random(79)
         for _ in range(60):
             n = rng.randint(3, 60)
             poly = Polygon(tuple(rng.randint(1, 10**6) for _ in range(n)))
             for f in weight_fns.values():
                 want = solve_dp_cubic(poly, f)[0]
-                opt, tri, stats = solve_yao(poly, f, engine=engine)
+                opt, tri, stats = solve_yao(poly, fn_only(f) if engine == "scalar" else f)
                 assert stats.backend == engine
                 assert opt == want
                 assert validate_triangulation(poly, tri).ok
@@ -56,8 +57,8 @@ class TestSolveYao:
         for n in (64, 90, 121):
             poly = Polygon(tuple(rng.randint(1, 10**4) for _ in range(n)))
             for f in weight_fns.values():
-                vs, ts, ss = solve_yao(poly, f, engine="scalar")
-                vv, tv, sv = solve_yao(poly, f, engine="vector")
+                vs, ts, ss = solve_yao(poly, fn_only(f))
+                vv, tv, sv = solve_yao(poly, f)
                 assert vs == vv
                 assert ts.edges == tv.edges  # same values, same walk
                 assert (ss.backend, sv.backend) == ("scalar", "vector")
@@ -67,8 +68,8 @@ class TestSolveYao:
         for _ in range(10):
             poly = Polygon(tuple(rng.randint(1, 5) for _ in range(80)))
             for f in weight_fns.values():
-                vs, ts, _ = solve_yao(poly, f, engine="scalar")
-                vv, tv, _ = solve_yao(poly, f, engine="vector")
+                vs, ts, _ = solve_yao(poly, fn_only(f))
+                vv, tv, _ = solve_yao(poly, f)
                 assert (vs, ts.edges) == (vv, tv.edges)
 
     def test_matches_branching_solver(self, weight_fns):
@@ -81,35 +82,30 @@ class TestSolveYao:
                 assert ob == oy
 
     def test_auto_engine_choice(self):
+        # vec alone picks the engine
         fa = TriangleWeightFn.additive()
         f_plain = TriangleWeightFn.custom(lambda x, y, z: x + y + z)
         rng = random.Random(101)
         for n in (3, 4, 5, 63, 64):
             poly = Polygon(tuple(rng.randint(1, 99) for _ in range(n)))
-            # vector is faster from n = 4 up, so auto takes it at every size
             assert solve_yao(poly, fa)[2].backend == "vector"
-            # no vectorized form: auto falls back to scalar at any size
+            # no vectorized form: scalar at any size
             assert solve_yao(poly, f_plain)[2].backend == "scalar"
 
     def test_vector_engine_refusals(self):
         fm = TriangleWeightFn.multiplicative()
         big = Polygon((2**22,) * 70)
-        # every triangle weighs 2**66, so the vector engine runs in object dtype
-        vs, ts, _ = solve_yao(big, fm, engine="scalar")
-        vv, tv, _ = solve_yao(big, fm, engine="vector")
+        # every triangle weighs 2**66, so the vector engine refuses int64 and
+        # runs in object dtype
+        vs, ts, ss = solve_yao(big, fn_only(fm))
+        vv, tv, sv = solve_yao(big, fm)
+        assert (ss.backend, sv.backend) == ("scalar", "vector")
         assert vv == vs == 68 * 2**66
         assert tv.edges == ts.edges
-        # only a weight function without a vectorized form is refused
-        f_plain = TriangleWeightFn.custom(lambda x, y, z: x + y + z)
-        with pytest.raises(OverflowError, match="vector engine refused"):
-            solve_yao(Polygon((1, 2, 3, 4)), f_plain, engine="vector")
-        opt, tri, stats = solve_yao(big, fm)
-        assert stats.backend == "vector"
-        assert opt == 68 * 2**66
-        assert validate_triangulation(big, tri).ok
+        assert validate_triangulation(big, tv).ok
 
     def test_scalar_engine_keeps_exact_non_integer_values(self):
-        # no vec, so auto runs the scalar engine: fn's Fractions must come
+        # no vec, so the scalar engine runs: fn's Fractions must come
         # back from the object rows as they are, never truncated to ints
         f = TriangleWeightFn.custom(lambda x, y, z: Fraction(x * y * z + x + y + z, 7))
         rng = random.Random(7)
@@ -121,16 +117,11 @@ class TestSolveYao:
             assert stats.backend == "scalar"
             ob, tb, sb = solve_bst(poly, f)
             assert sb.engine == "loop"
-            op, tp = solve_dp_cubic(poly, f, engine="python")
-            oa, ta = solve_dp_cubic(poly, f)
-            assert opt == ob == op == oa == triangulation_weight(poly, tri, f)
-            assert tri.edges == tb.edges == tp.edges == ta.edges
+            op, tp = solve_dp_cubic(poly, f)
+            assert opt == ob == op == triangulation_weight(poly, tri, f)
+            assert tri.edges == tb.edges == tp.edges
             fractional += opt.denominator != 1
         assert fractional >= 20
-
-    def test_rejects_unknown_engine(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            solve_yao(Polygon((1, 2, 3, 4)), TriangleWeightFn.additive(), engine="simd")
 
     @pytest.mark.parametrize("half_n", [2, 3, 10])
     def test_staircase_census(self, half_n, weight_fns):
