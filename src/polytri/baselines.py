@@ -40,7 +40,7 @@ def solve_dp_cubic(poly: Polygon, f: TriangleWeightFn) -> tuple[int, Triangulati
     check_accumulator_bound(poly, f)
     fvec, dtype, tmax = vector_arithmetic(poly, f)
     n = poly.n
-    W = np.array(poly.weights, dtype)
+    W = poly.arrays[0].astype(dtype, copy=False)
     H = sliding_window_view(np.concatenate((W, W)), n)  # H[i, k] = W[i + k]
     S = np.zeros((n, n), dtype)  # S[i, d] = cost(i, i + d)
     E = np.zeros((n, n), dtype)  # E[j, d] = cost(j - d, j)
@@ -147,7 +147,7 @@ def solve_bruteforce(
     structures = _structures(n)
     if f.vec is not None and int64_safe(poly, f):
         T = _triangle_array(n)
-        W = np.array(poly.weights, dtype=np.int64)
+        W = poly.arrays[0]
         totals = f.vec(W[T[:, :, 0]], W[T[:, :, 1]], W[T[:, :, 2]]).sum(axis=1)
         best = totals.min().item()
         winners = [frozenset(structures[i][0]) for i in np.flatnonzero(totals == best)]

@@ -94,7 +94,7 @@ class BridgeTable:
     @cached_property
     def arrays(self) -> np.ndarray:
         """The rows left, right, lc, rc and rank_of: one read-only int64 array, made once, for the sweep."""
-        out = np.array((self.left, self.right, self.lc, self.rc, self.poly.rank_of), np.int64)
+        out = np.array((self.left, self.right, self.lc, self.rc, self.poly.arrays[2]), np.int64)
         out.flags.writeable = False
         return out
 
@@ -175,7 +175,7 @@ def _stack(poly: Polygon) -> BridgeTable:
     lightest node (x is then the second-lightest).
     """
     n, rank_of = poly.n, poly.rank_of
-    m0 = poly.rank[0]
+    m0 = poly.arrays.item(1, 0)  # rank[0]
     found: list[tuple[int, int, int]] = []
     stack = [m0]
     for step in range(1, n + 1):
@@ -219,8 +219,7 @@ def _jump(poly: Polygon) -> BridgeTable | None:
     the nodes at its nearest lighter positions, unless both are m0; the
     rows are scattered by ``_table``'s rule into ``arrays``.
     """
-    n, m0 = poly.n, poly.rank[0]
-    rank_of = np.fromiter(poly.rank_of, np.int64, n)
+    n, m0, rank_of = poly.n, poly.arrays.item(1, 0), poly.arrays[2]  # m0 = rank[0]
     node = np.append(np.roll(np.arange(n), -m0), m0)
     rk = np.concatenate((rank_of[m0:], rank_of[: m0 + 1]))  # rank_of[node]
     lo, hi = np.arange(-1, n), np.arange(1, n + 2)

@@ -193,12 +193,10 @@ def expand_root(poly: Polygon) -> list[Branch]:
     n = poly.n
     if n < 4:
         raise ValueError("root expansion requires n >= 4")
-    rank = poly.rank
-    v1, v2, v3 = rank[0], rank[1], rank[2]
+    v1, v2, v3, v4 = poly.arrays[1, :4].tolist()
     adj2 = poly.adjacent(v1, v2)
     adj3 = poly.adjacent(v1, v3)
     if adj2 and adj3:
-        v4 = rank[3]
         if (v2 - v1) % n == 1:
             return [
                 Branch((norm_edge(v2, v3),), (Cone(v2, v3),), ((v1, v2, v3),)),
@@ -236,8 +234,8 @@ def _root(
     cone of the bridge between them, so the root takes part in the memo;
     otherwise the root is expand_root's single, forced, branch.
     """
-    n, w, fw, rank_of = poly.n, poly.weights, f.fn, poly.rank_of
-    v1, v2 = poly.rank[0], poly.rank[1]
+    n, w, fw = poly.n, poly.weights, f.fn
+    v1, v2, *_ = lightest = poly.arrays[1, :3].tolist()  # the ends of expand_root's children
     if (v2 - v1) % n == 1:
         edges, cones = (), [(rc[v2], 0, v2, v1)]
     elif (v1 - v2) % n == 1:
@@ -246,7 +244,7 @@ def _root(
         (br,) = expand_root(poly)
         edges, cones = br.edges, []
         for c in br.children:
-            x = (lc[c.v] if rank_of[c.u] < rank_of[c.v] else rc[c.u]) if (c.v - c.u) % n > 1 else -1
+            x = (lc[c.v] if lightest.index(c.u) < lightest.index(c.v) else rc[c.u]) if (c.v - c.u) % n > 1 else -1
             cones.append((x, 0 if c.apex is None else c.apex + 1, c.u, c.v))
     keys, base = [], 0
     for x, k, a, b in cones:  # cone (a, b), S node x (-1: a single side), apex k - 1 (k = 0: none)
@@ -555,10 +553,11 @@ def _sweep(
     core.vector_arithmetic's dtype: int64 while the largest value so far
     proves the next level's sums fit, then object, as in yao_solver; without
     a ``vec``, fn in object dtype. An A level is valued per node, a Z level
-    in runs of whole rows. Each cell keeps whether branch 1 won (it wins
-    ties), for the walk down the same links.
+    in runs of whole rows, each row's constants read once for all its
+    slots. Each cell keeps whether branch 1 won (it wins ties), for the
+    walk down the same links.
     """
-    n, w, n1 = poly.n, poly.weights, poly.n + 1
+    n, n1 = poly.n, poly.n + 1
     U, V, LC, RC, R = table.arrays
     bridge = U >= 0
 
@@ -583,7 +582,7 @@ def _sweep(
     ch_key[1:, :n] += (child[1:, :n] >= n) * (P + 1)
     root_edges, root, base_sum = _root(poly, LC, RC, f)
     roots = np.array(root, np.int64)
-    m0 = poly.rank[0]
+    m0 = poly.arrays.item(1, 0)  # rank[0]
     first, last = (U - m0) % n + 1, np.where(V == m0, n, (V - m0) % n)  # the nest of x's bridge
     laid = _layout(first, last, m0, child, ch_key, roots, table.total_cones())
     if laid is None or len(laid) == 2:
@@ -595,7 +594,7 @@ def _sweep(
 
     # per-bridge weights and constants: A(x)'s triangle and base children
     fvec, dtype, tmax = vector_arithmetic(poly, f)
-    W = np.array(w, dtype)
+    W = poly.arrays[0].astype(dtype, copy=False)
     WU, WV = W[U], W[V]
     C1 = np.where(one, fvec(W[A], W[B], W[P]), 0)
     C2 = np.where(leaf, fvec(WU, W, WV), 0)
@@ -603,12 +602,15 @@ def _sweep(
         C2 = C2 + np.where(~leaf & (child[j, :n] < 0), fvec(W[x], W[y], W[P]), 0)
     ZL, ZR = (LC < 0).astype(np.int64), (RC < 0).astype(np.int64)  # Z(x)'s one-triangle sides (u, x), (x, v)
 
-    def zconsts(x: np.ndarray, wz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Apexed cells' branch-1 triangle and branch-2 base triangles; x their bridge, wz their apex's weight."""
-        wu, wv, ws = WU[x], WV[x], W[x]
-        return fvec(wu, wv, wz), fvec(wu, ws, wz) * ZL[x] + fvec(ws, wv, wz) * ZR[x]
+    def zconsts(x: np.ndarray, wz: np.ndarray, r: np.ndarray | int = 1) -> tuple[np.ndarray, np.ndarray]:
+        """Apexed cells' branch-1 triangle and branch-2 base triangles; x their bridges, r cells each, wz their apex's weight."""
+        wu, wv, ws, zl, zr = (np.repeat(c[x], r) for c in (WU, WV, W, ZL, ZR))
+        return fvec(wu, wv, wz), fvec(wu, ws, wz) * zl + fvec(ws, wv, wz) * zr
 
-    # pass 2, up by level; won: branch 1 gave the cell's value (it wins ties)
+    # pass 2, up by level; won: branch 1 gave the cell's value (it wins ties).
+    # A Z row's cells share its bridge's weights, one-triangle sides, A value
+    # and Z children's bases: each is gathered once per row and repeated over
+    # its slots, and only the apex weight is gathered per cell.
     value = np.zeros(visited + int(size.max(initial=1)), dtype=W.dtype)  # zeros past the cells: absent children
     won = np.zeros(visited, bool)
     peak = 0
@@ -623,13 +625,14 @@ def _sweep(
                 val = value[base[1, x]] + value[base[2, x]] + C2[x]
                 alt = value[base[0, x]] + C1[x]
                 b1 = won[lo:hi] = one[x] & (alt <= val)
-            else:  # Z(y): whole rows; slot d's Z children are at their bases plus d
-                y = np.repeat(node[a:b], size[a:b])  # per cell: per-node reads are gathers in order
-                alt, val = zconsts(y - n, W[keys[lo:hi] - (y - n) * n1 - 1])
-                val = val + value[base[1, y] + d] + value[base[2, y] + d]
-                alt = alt + value[base[0, y]]
-                b1 = won[lo:hi] = alt <= val
-            val = value[lo:hi] = np.where(b1, alt, val)
+                val = value[lo:hi] = np.where(b1, alt, val)
+            else:  # Z(y): whole rows of r slots; slot d's Z children are at their bases plus d
+                y, r = node[a:b], size[a:b]
+                alt, val = zconsts(y - n, W[keys[lo:hi] - np.repeat((y - n) * n1 + 1, r)], r)
+                val = val + value[np.repeat(base[1, y], r) + d] + value[np.repeat(base[2, y], r) + d]
+                alt = alt + np.repeat(value[base[0, y]], r)
+                won[lo:hi] = alt <= val
+                val = value[lo:hi] = np.minimum(alt, val)
             if tmax is not None:
                 peak = max(peak, int(val.max()))
 

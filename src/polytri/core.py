@@ -16,9 +16,9 @@ hand the pass those rows with no ``array("q")`` read; they pass its every
 check or go the route of any other edge set.
 
 ``Polygon`` reads its weights by one numpy route at every size: an
-``array("q")`` read, a stable argsort for the rank and a scatter for its
-inverse. Weights that route refuses go to a Python loop, which alone words
-each rejection.
+``array("q")`` read, one argsort for the rank and a scatter for its
+inverse, kept as read-only int64 arrays. Weights that route refuses go to a
+Python loop, which alone words each rejection.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import operator
 import random
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, repeat
 from typing import Callable, Collection, Iterable
 
@@ -77,7 +78,7 @@ def int64_safe(poly: "Polygon", f: "TriangleWeightFn") -> bool:
     compute (``vector_arithmetic``) and continue in object dtype from the
     first step that could overflow.
     """
-    wmax = max(poly.weights)
+    wmax = poly.wmax
     return (poly.n - 2) * f.fn(wmax, wmax, wmax) < 2**62
 
 
@@ -97,7 +98,7 @@ def vector_arithmetic(poly: "Polygon", f: "TriangleWeightFn") -> tuple[Callable,
         return np.frompyfunc(f.fn, 3, 1), object, None
     if int64_safe(poly, f):
         return f.vec, np.int64, None
-    wmax = max(poly.weights)
+    wmax = poly.wmax
     tmax = f.fn(wmax, wmax, wmax)
     if 2 * tmax >= INT64_LIMIT:
         return f.vec, object, None
@@ -106,29 +107,35 @@ def vector_arithmetic(poly: "Polygon", f: "TriangleWeightFn") -> tuple[Callable,
 
 def check_accumulator_bound(poly: "Polygon", f: "TriangleWeightFn") -> None:
     """Reject solves whose worst-case total could leave the 128-bit range."""
-    wmax = max(poly.weights)
+    wmax = poly.wmax
     if (poly.n - 2) * f.fn(wmax, wmax, wmax) >= ACCUMULATOR_MAX:
         raise OverflowError(
             "worst-case triangulation weight exceeds the 128-bit accumulator range"
         )
 
 
-def _ranked(weights: Iterable) -> tuple[array, np.ndarray]:
-    """The weights as array("q") and their stable argsort; ValueError naming a bad weight.
+def _ranked(weights: Iterable) -> tuple[np.ndarray, np.ndarray]:
+    """The weights read as array("q"), in int64, and their rank (an argsort); ValueError naming a bad weight.
 
     array("q") reads each weight through operator.index, as ``as_ints``
-    does, so 1.9, "4" and 2**63 are refused, never truncated, and the sort
-    finds the least weight. Weights it refuses, fewer than 3 and a least
-    weight below 1 go to the Python loop, which alone words each rejection.
+    does, so 1.9, "4" and 2**63 are refused, never truncated. The rank is
+    one argsort of the distinct keys w * n + i, so ties go by index; where
+    those keys would leave int64 a stable argsort of the weights, the one
+    exact route there. Weights it refuses, fewer than 3 and a least weight
+    below 1 go to the Python loop, which alone words each rejection.
     """
     if not isinstance(weights, (tuple, list, np.ndarray)):
         weights = tuple(weights)  # the loop may read them again
     try:
         w = array("q", weights)
-        if len(w) >= 3:
-            rank = np.frombuffer(w, np.int64).argsort(kind="stable")  # ties go by index
+        if (n := len(w)) >= 3:
+            W = np.frombuffer(w, np.int64)
+            if W.view(np.uint64).max() < INT64_LIMIT // n:  # no weight below 0, none that takes a key past int64
+                rank = (W * n + np.arange(n)).argsort()
+            else:
+                rank = W.argsort(kind="stable")
             if w[rank[0]] > 0:
-                return w, rank
+                return W, rank
     except (TypeError, ValueError, OverflowError):
         pass
     ws = as_ints(weights, "weight of node")
@@ -153,25 +160,39 @@ class Polygon:
     weight go by node index, which is equivalent to an infinitesimal
     perturbation and leaves optimal triangulation weights unchanged, and
     code asks "is a lighter than b" as ``rank_of[a] < rank_of[b]``.
+
+    ``arrays`` holds the rows weights, rank and rank_of as one read-only
+    int64 array, kept from construction for the numpy engines, and ``wmax``
+    is the largest weight. The tuples ``rank`` and ``rank_of``, which the
+    Python loops index, are made from it on first read. A copy or a pickle
+    builds the polygon again from its weights.
     """
 
     weights: tuple[int, ...]
     n: int = field(init=False, repr=False, compare=False)
-    rank: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    rank_of: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    wmax: int = field(init=False, repr=False, compare=False)
+    arrays: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ws = self.weights
         w, rank = _ranked(ws)
         n = len(w)
-        rank_of = np.empty_like(rank)
-        rank_of[rank] = np.arange(n)
+        arrays = np.empty((3, n), np.int64)
+        arrays[0], arrays[1] = w, rank
+        arrays[2, rank] = np.arange(n)
+        arrays.flags.writeable = False
         if type(ws) is not tuple or set(map(type, ws)) != {int}:  # else share the caller's ints
             ws = tuple(w.tolist())
         object.__setattr__(self, "weights", ws)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rank", tuple(rank.tolist()))
-        object.__setattr__(self, "rank_of", tuple(rank_of.tolist()))
+        object.__setattr__(self, "wmax", w.item(rank[-1]))
+        object.__setattr__(self, "arrays", arrays)
+
+    rank = cached_property(lambda self: tuple(self.arrays[1].tolist()))
+    rank_of = cached_property(lambda self: tuple(self.arrays[2].tolist()))
+
+    def __reduce__(self):
+        return Polygon, (self.weights,)
 
     def adjacent(self, a: int, b: int) -> bool:
         d = (a - b) % self.n

@@ -39,7 +39,7 @@ def heuristic_triangulate(poly: Polygon) -> tuple[Triangulation, HeuristicReport
     if n == 3:
         total = w[0] + w[1] + w[2]
         return Triangulation(frozenset(), total), HeuristicReport(total)
-    v1 = poly.rank[0]
+    v1 = poly.arrays.item(1, 0)  # rank[0]
     wv1 = w[v1]
     order = [(v1 + i) % n for i in range(n)]
     stack = order[:3]

@@ -54,7 +54,7 @@ def _sweep(poly: Polygon, table: BridgeTable, f: TriangleWeightFn) -> Callable[[
     rank_of = poly.rank_of
     order = sorted((x for x in range(n) if left[x] >= 0), key=lambda x: (right[x] - left[x]) % n)
     fvec, dtype, tmax = vector_arithmetic(poly, f)
-    WR = np.array([w[r] for r in poly.rank], dtype)  # weights in rank order
+    WR = poly.arrays[0][poly.arrays[1]].astype(dtype, copy=False)  # weights in rank order
     v0: list[int] = [0] * n
     vz: list[np.ndarray | None] = [None] * n
     # A bridge's row is at most v0 + tmax, so top, the running maximum of that,

@@ -240,6 +240,25 @@ def test_vec_never_sees_an_empty_array(monkeypatch):
     assert outcome(swept) == outcome(solve_bst(poly, f))
 
 
+def test_a_sweep_solve_reads_the_polygon_arrays():
+    # the sweep reads the weights, the rank and wmax off poly.arrays: it
+    # builds neither rank tuple, makes no rank_of array from one and takes
+    # no max over the weights' tuple
+    poly = gen_random(5000, 1)
+    maxed, real_max = [], max
+
+    def spy_max(*args, **kwargs):
+        if args and args[0] is poly.weights:
+            maxed.append(args)
+        return real_max(*args, **kwargs)
+
+    with mock.patch("builtins.max", spy_max), mock.patch.object(np, "fromiter", wraps=np.fromiter) as fromiter:
+        st = solve_bst(poly, TriangleWeightFn.additive())[2]
+    assert st.engine == "sweep"
+    assert "rank" not in vars(poly) and "rank_of" not in vars(poly)
+    assert fromiter.call_count == 0 and not maxed
+
+
 @pytest.mark.parametrize(
     "weights",
     [range(1, 3001), [7] * 3000, [(i % 2) * 3000 + i + 1 for i in range(3000)]],

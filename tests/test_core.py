@@ -1,5 +1,7 @@
 """Polygon, weight functions, validation, file format."""
 
+import copy
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -7,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polytri import (
@@ -39,6 +41,15 @@ from conftest import any_crossing, chords_cross, triangles_by_definition
 QUAD = Polygon((1, 2, 5, 3))
 
 
+def assert_arrays(poly):
+    """poly.arrays holds the rows weights, rank (by weight, then index) and rank_of, read-only int64."""
+    arrays, w = poly.arrays, poly.weights
+    assert arrays.dtype == np.int64 and arrays.shape == (3, poly.n) and not arrays.flags.writeable
+    rank = sorted(range(poly.n), key=lambda i: (w[i], i))
+    assert arrays.tolist() == [list(w), rank, sorted(range(poly.n), key=rank.__getitem__)]
+    assert (poly.rank, poly.rank_of) == tuple(map(tuple, arrays[1:].tolist()))
+
+
 class TestPolygon:
     def test_rejects_too_few_nodes(self):
         with pytest.raises(ValueError, match="at least 3"):
@@ -67,10 +78,11 @@ class TestPolygon:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        w=st.sampled_from([2, 3, 10**6]).flatmap(
+        w=st.sampled_from([2, 3, 10**6, 2**62, WEIGHT_MAX]).flatmap(
             lambda hi: st.lists(st.integers(1, hi), min_size=3, max_size=2000)
         )
     )
+    @example(w=[2**62, 1, WEIGHT_MAX, 2**62 - 1, 7, WEIGHT_MAX])  # keys w * n + i would leave int64
     def test_rank_orders_by_weight_then_index(self, w):
         poly = Polygon((5, 1, 5, 2))
         assert poly.rank == (1, 3, 0, 2)  # ties: node 0 before node 2
@@ -144,7 +156,15 @@ class TestPolygonRoute:
         assert poly.weights == want and poly.n == len(want)
         for field in (poly.weights, poly.rank, poly.rank_of):
             assert type(field) is tuple and all(type(v) is int for v in field)
+        assert type(poly.wmax) is int and poly.wmax == max(want)
+        assert_arrays(poly)
         assert poly == Polygon(want)
+
+    def test_a_copy_or_a_pickle_rebuilds_read_only_arrays(self):
+        poly = Polygon((5, 1, 5, 2, WEIGHT_MAX))
+        for twin in (copy.copy(poly), copy.deepcopy(poly), pickle.loads(pickle.dumps(poly))):
+            assert twin == poly and twin.wmax == WEIGHT_MAX
+            assert_arrays(twin)
 
     def test_a_tuple_of_ints_is_kept(self):
         weights = (3, 10**6, 2)
